@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .connectivity import is_k_connected
@@ -94,12 +93,6 @@ def _add_io(sub, output_default="-"):
     sub.add_argument("-o", "--output", default=output_default,
                      help="object output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("RIGIDPACK_THREADS", "1")),
-        help="worker pool size for independent queries; outputs do not depend on it",
-    )
 
 
 def _cert_dict(cert) -> dict:

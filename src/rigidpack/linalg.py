@@ -6,25 +6,44 @@ the largest prime below 2^61, so a random specialization of an m-row generic
 matrix loses rank with probability at most m / PRIME (Schwartz-Zippel), far
 below 2^-40 at the scales this package handles.
 
-Rows live in two representations:
+Rows are "packed": one big integer holds one field entry per SLOT_BITS-wide
+slot, so a row operation is one scalar multiply and one add on a CPython
+big int, which runs in C.  Elimination only ever *adds* multiples of rows
+(coefficients are negated mod PRIME first), so slot values stay
+nonnegative.  Slots are brought back into [0, PRIME) all at once by SWAR
+Mersenne folding: 2^61 = 1 (mod PRIME), so x = (x & M61) + (x >> 61) in
+every slot, applied through per-slot masks until no slot reaches 2^61.
 
-* plain lists of ints in [0, PRIME) -- the readable reference form;
-* "packed" form, a single big integer holding one row entry per fixed-width
-  slot.  Row operations then become one scalar multiply and one add on a
-  CPython big int, which runs in C and is several times faster than looping
-  over list entries.  Elimination only ever *adds* multiples of canonical
-  rows (coefficients are negated mod PRIME first), so slot values stay
-  nonnegative and bounded; SLOT_BITS leaves room for ~2^70 accumulated
-  updates before slots could overflow into each other.
+`RowBasis` is the incremental eliminator used everywhere.  Its invariants:
 
-`RowBasis` is the incremental eliminator used everywhere: rows are inserted
-one at a time and reduced against the rows already kept, which is exactly
-the shape greedy independence testing and matroid augmentation need.
+* **Reduced row-echelon form.**  Every kept row is 1 at its own pivot
+  column and 0 (mod PRIME) at the pivot of every other kept row.  A query
+  row q is reduced as q - sum q[p] * row_p over the pivots p in q's
+  support, with q's own entries as the coefficients, so a sparse query
+  touches only the kept rows its support hits: at most 2d for a rigidity
+  row, whatever the size of the basis.
+* **Slot bound.**  A row is canonical (every slot in [0, PRIME)) when it is
+  kept.  Later inserts and removals add multiples c * r of canonical rows r
+  (c < PRIME) to it without folding, so after u such updates every slot is
+  below 2^61 + u * 2^122; SLOT_BITS = 192 holds that for any u < 2^70, a
+  count no run reaches.  A row is canonicalised when it is next used as a
+  multiplier, so every product c * r formed has slots below 2^122, and a
+  reduction summing k of them stays below (k + 1) * 2^122.
+* **Recycled tracking slots.**  With ``track_width`` > 0 every kept row
+  carries the coefficients expressing it in the raw rows of the live
+  members ([A | I] elimination), one tracking slot per live member.  A
+  member takes a free slot when its row is kept and gives it back when it
+  is removed, so ``track_width`` has to cover the live members (at most the
+  rank), not every member id.  Removal is a downdate: one row holding the
+  member's slot clears that slot from every other row and is dropped.
+* **Residues.**  ``residue`` returns a reduced row whose entries depend on
+  the pivots chosen; only whether it is zero carries meaning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 PRIME = (1 << 61) - 1
@@ -32,102 +51,131 @@ PRIME = (1 << 61) - 1
 SLOT_BITS = 192
 _SLOT_BYTES = SLOT_BITS // 8
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-
-
-def pack_row(entries: Sequence[int]) -> int:
-    """Pack field entries (each < 2^SLOT_BITS) into one big integer."""
-    return int.from_bytes(
-        b"".join(e.to_bytes(_SLOT_BYTES, "little") for e in entries), "little"
-    )
-
-
-def unpack_row(packed: int, width: int) -> list[int]:
-    raw = packed.to_bytes(width * _SLOT_BYTES, "little")
-    return [
-        int.from_bytes(raw[i * _SLOT_BYTES : (i + 1) * _SLOT_BYTES], "little")
-        for i in range(width)
-    ]
-
-
-def slot_value(packed: int, index: int) -> int:
-    return (packed >> (SLOT_BITS * index)) & _SLOT_MASK
+_ENTRY_BYTES = 8  # a canonical entry (< 2^61) fits the low bytes of its slot
 
 
 class RowBasis:
-    """Incremental row-echelon basis over GF(PRIME) with packed rows.
+    """Incremental reduced row-echelon basis over GF(PRIME) with packed rows.
 
-    Rows are inserted in arrival order; each kept row is reduced against all
-    earlier kept rows, normalized to a leading 1, and appended.  The stack
-    therefore satisfies: row j is zero at the pivot slot of every earlier
-    row, so reducing a query row against the stack in order clears each
-    pivot exactly once.
-
-    With ``track_width`` > 0, every row carries that many extra slots, one
-    per potential member id, holding the coefficients that express the kept
-    row in terms of the raw rows inserted so far ([A | I] elimination).
-    A query row that reduces to zero then yields its fundamental circuit by
-    reading the tracking slots.
+    ``rows`` maps each pivot column to the structural part of its kept row
+    and ``tracks`` to the tracking part; ``pending`` counts, per pivot, the
+    updates made since the row was last canonical (see the module notes).
+    ``index_of`` maps each live member to its tracking slot.  A query that
+    reduces to zero yields its fundamental circuit by reading the tracking
+    slots of the reduced row.
     """
 
-    __slots__ = ("ncols", "track_width", "width", "pivots", "rows", "members",
-                 "index_of", "version")
+    __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
+                 "index_of", "slot_member", "free_slots", "version",
+                 "_ones", "_low", "_high")
 
     def __init__(self, ncols: int, track_width: int = 0):
         self.ncols = ncols
         self.track_width = track_width
         self.width = ncols + track_width
-        self.pivots: list[int] = []
-        self.rows: list[int] = []
-        self.members: list[int] = []
+        self.rows: dict[int, int] = {}
+        self.tracks: dict[int, int] = {}
+        self.pending: dict[int, int] = {}
         self.index_of: dict[int, int] = {}
+        self.slot_member = [-1] * track_width
+        self.free_slots = list(range(track_width - 1, -1, -1))
         self.version = 0
+        # per-slot masks, wide enough for the structural and the tracking part
+        self._ones = int.from_bytes(
+            (b"\x01" + bytes(_SLOT_BYTES - 1)) * max(ncols, track_width), "little")
+        self._low = self._ones * PRIME
+        self._high = self._ones * ((1 << (SLOT_BITS - 61)) - 1)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _prepare(self, entries: Sequence[int], member: int | None) -> int:
-        digits = list(entries) + [0] * self.track_width
-        if member is not None:
-            if not 0 <= member < self.track_width:
-                raise ValueError(f"member id {member} outside tracking range")
-            digits[self.ncols + member] = 1
-        return pack_row(digits)
+    def _canonical(self, x: int) -> int:
+        """Every slot of x reduced into [0, PRIME) by Mersenne folding."""
+        low, high, ones = self._low, self._high, self._ones
+        hi = (x >> 61) & high
+        while hi:
+            x = (x & low) + hi
+            hi = (x >> 61) & high
+        # every slot is now at most PRIME; send PRIME itself to 0
+        top = ((x + ones) >> 61) & ones
+        return x - top * PRIME if top else x
 
-    def _reduce(self, work: int) -> int:
-        for piv, row in zip(self.pivots, self.rows):
-            v = ((work >> (SLOT_BITS * piv)) & _SLOT_MASK) % PRIME
+    def _clean(self, pivot: int) -> None:
+        """Canonicalise a kept row that has pending updates."""
+        if self.pending.pop(pivot, 0):
+            self.rows[pivot] = self._canonical(self.rows[pivot])
+            if self.track_width:
+                self.tracks[pivot] = self._canonical(self.tracks[pivot])
+
+    def _reduce(self, entries: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+        """(reduced structural row, [(pivot, coefficient)] of the rows used)."""
+        if len(entries) != self.ncols:
+            raise ValueError(f"row has {len(entries)} entries, basis has {self.ncols} columns")
+        work = 0
+        hits = []
+        rows, pending = self.rows, self.pending
+        for c in compress(range(self.ncols), entries):
+            v = entries[c] % PRIME
             if v:
-                work += (PRIME - v) * row
-        return work
-
-    def _canonical_digits(self, work: int) -> list[int]:
-        return [d % PRIME for d in unpack_row(work, self.width)]
+                work |= v << (SLOT_BITS * c)
+                if c in rows:
+                    hits.append((c, PRIME - v))
+        for p, coef in hits:
+            if p in pending:
+                self._clean(p)
+            work += coef * rows[p]
+        return work, hits
 
     def insert(self, entries: Sequence[int], member: int | None = None) -> bool:
-        """Reduce and keep the row if independent; returns False on dependence."""
-        digits = self._canonical_digits(self._reduce(self._prepare(entries, member)))
-        pivot = -1
-        for i in range(self.ncols):
-            if digits[i]:
-                pivot = i
-                break
-        if pivot < 0:
+        """Reduce and keep the row if independent; returns False on dependence.
+
+        A tracking basis needs the member id of every row it is given.
+        """
+        if self.track_width and member is None:
+            raise ValueError("a tracking basis needs a member id for each row")
+        if not self.track_width and member is not None:
+            raise ValueError("member ids need track_width > 0")
+        work, hits = self._reduce(entries)
+        work = self._canonical(work)
+        if not work:
             return False
-        inv = pow(digits[pivot], PRIME - 2, PRIME)
-        row = pack_row([d * inv % PRIME for d in digits])
-        if member is not None:
-            self.index_of[member] = len(self.rows)
-        self.members.append(-1 if member is None else member)
-        self.pivots.append(pivot)
-        self.rows.append(row)
+        pivot = ((work & -work).bit_length() - 1) // SLOT_BITS
+        shift = SLOT_BITS * pivot
+        inv = pow((work >> shift) & _SLOT_MASK, PRIME - 2, PRIME)
+        row = self._canonical(work * inv)
+        rows, tracks, pending = self.rows, self.tracks, self.pending
+        tracked = self.track_width > 0
+        if tracked:
+            if not self.free_slots:
+                raise ValueError("more independent rows than tracking slots")
+            slot = self.free_slots.pop()
+            track = inv << (SLOT_BITS * slot)
+            for p, coef in hits:
+                track += coef * inv % PRIME * tracks[p]
+            track = self._canonical(track)
+            self.index_of[member] = slot
+            self.slot_member[slot] = member
+        # clear the new pivot column from every other kept row
+        for p, other in rows.items():
+            c = ((other >> shift) & _SLOT_MASK) % PRIME
+            if c:
+                c = PRIME - c
+                rows[p] = other + c * row
+                if tracked:
+                    tracks[p] += c * track
+                pending[p] = pending.get(p, 0) + 1
+        rows[pivot] = row
+        if tracked:
+            tracks[pivot] = track
         self.version += 1
         return True
 
     def residue(self, entries: Sequence[int]) -> list[int]:
-        """Canonical reduced row (structural slots only); all-zero iff dependent."""
-        work = self._reduce(self._prepare(entries, None))
-        return [d % PRIME for d in unpack_row(work & ((1 << (SLOT_BITS * self.ncols)) - 1),
-                                              self.ncols)]
+        """A reduced form of the row (structural slots); all-zero iff dependent."""
+        work, _ = self._reduce(entries)
+        raw = self._canonical(work).to_bytes(self.ncols * _SLOT_BYTES, "little")
+        return [int.from_bytes(raw[i : i + _ENTRY_BYTES], "little")
+                for i in range(0, len(raw), _SLOT_BYTES)]
 
     def circuit(self, entries: Sequence[int]) -> set[int] | None:
         """Members with nonzero coefficient in the expansion of a dependent row.
@@ -137,54 +185,50 @@ class RowBasis:
         """
         if not self.track_width:
             raise ValueError("circuit queries need track_width > 0")
-        digits = self._canonical_digits(self._reduce(self._prepare(entries, None)))
-        if any(digits[: self.ncols]):
+        work, hits = self._reduce(entries)
+        if self._canonical(work):
             return None
-        return {i - self.ncols for i in range(self.ncols, self.width) if digits[i]}
+        track = 0
+        for p, coef in hits:
+            track += coef * self.tracks[p]
+        track = self._canonical(track)
+        # bit 61 of a canonical slot plus PRIME is set iff the slot is nonzero
+        flags = ((track + self._low) >> 61) & self._ones
+        selectors = flags.to_bytes(self.track_width * _SLOT_BYTES, "little")[::_SLOT_BYTES]
+        return set(compress(self.slot_member, selectors))
 
-    def remove(self, member: int, row_provider) -> None:
-        """Drop a member row, repairing the stack.
+    def remove(self, member: int) -> None:
+        """Drop a member's row by downdating the basis; nothing is re-inserted.
 
-        Rows whose tracking coefficients do not involve the removed member
-        stay, in order (after repairs such rows can sit on either side of
-        the removed position); the rest are re-inserted from their raw
-        entries via ``row_provider``.  If the cheap repair ever leaves a
-        row dependent, the whole stack is rebuilt from raw rows, which can
-        only fail if the member set itself is dependent.
+        The first kept row holding the member's tracking slot clears that
+        slot from every other row and is dropped.  The others stay 1 at
+        their pivots and 0 at each other's, and now express themselves in
+        the remaining members only, so they span exactly the rows of the
+        members that stay (the live rows are independent).
         """
         if not self.track_width:
             raise ValueError("removal needs track_width > 0")
-        k = self.index_of.pop(member)
-        slot = SLOT_BITS * (self.ncols + member)
-        kept: list[tuple[int, int, int]] = []
-        redo: list[int] = []
-        for j, (m, pv, row) in enumerate(zip(self.members, self.pivots, self.rows)):
-            if j == k:
-                continue
-            if (row >> slot) & _SLOT_MASK:
-                redo.append(m)
-            else:
-                kept.append((m, pv, row))
-        survivors = [m for m, _, _ in kept] + redo
-        self.pivots = [pv for _, pv, _ in kept]
-        self.rows = [row for _, _, row in kept]
-        self.members = [m for m, _, _ in kept]
-        self.index_of = {m: i for i, m in enumerate(self.members)}
+        slot = self.index_of.pop(member)
+        shift = SLOT_BITS * slot
+        holders = []
+        for p, track in self.tracks.items():
+            c = ((track >> shift) & _SLOT_MASK) % PRIME
+            if c:
+                holders.append((p, c))
+        (drop, lead), rest = holders[0], holders[1:]
+        self._clean(drop)
+        row, track = self.rows[drop], self.tracks[drop]
+        inv = pow(lead, PRIME - 2, PRIME)
+        rows, tracks, pending = self.rows, self.tracks, self.pending
+        for p, c in rest:
+            f = PRIME - c * inv % PRIME
+            rows[p] += f * row
+            tracks[p] += f * track
+            pending[p] = pending.get(p, 0) + 1
+        del rows[drop], tracks[drop]
+        self.slot_member[slot] = -1
+        self.free_slots.append(slot)
         self.version += 1
-        if all(self.insert(row_provider(m), m) for m in redo):
-            return
-        # slow path: rebuild everything from raw rows
-        self.pivots, self.rows, self.members, self.index_of = [], [], [], {}
-        self.version += 1
-        for m in sorted(survivors):
-            if not self.insert(row_provider(m), m):
-                raise ArithmeticError("member set dependent while rebuilding basis")
-
-    def _row_pivot(self, row: int) -> int:
-        for i in range(self.ncols):
-            if (row >> (SLOT_BITS * i)) & _SLOT_MASK:
-                return i
-        raise ArithmeticError("kept row has no pivot")
 
 
 @dataclass(frozen=True)

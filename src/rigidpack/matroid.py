@@ -36,7 +36,13 @@ class MatroidState(Protocol):
 class IndependenceOracle(Protocol):
     def new_state(self) -> MatroidState: ...
     def independent(self, edge_ids: Iterable[int]) -> bool: ...
-    def reseeded(self, salt: int) -> "IndependenceOracle": ...
+    def reseeded(self, retry: int) -> "IndependenceOracle":
+        """The oracle to use after the retry-th failed augmentation.
+
+        A randomized oracle draws a realization that neither its own salt
+        nor any other oracle's constructor salt gives.
+        """
+        ...
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -58,7 +64,7 @@ class GraphicOracle:
     def verify_independent(self, edge_ids: Iterable[int]) -> bool:
         return self.independent(edge_ids)
 
-    def reseeded(self, salt: int) -> "GraphicOracle":
+    def reseeded(self, retry: int) -> "GraphicOracle":
         return self
 
 
@@ -199,7 +205,7 @@ def partition(
                 raise OracleInconsistencyError(
                     "augmentations kept failing after reseeding"
                 ) from None
-            oracles[sig.oracle_index] = oracles[sig.oracle_index].reseeded(1 + retries)
+            oracles[sig.oracle_index] = oracles[sig.oracle_index].reseeded(retries)
             # replay every state from the last verified partition: the failed
             # application may have touched several parts
             for i in range(len(states)):

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .graph import Graph
 from .linalg import PRIME, DenseMatrix, RowBasis
-from .stream import stream_rng
+from .stream import SeededStream, stream_rng
 
 _RANK_CACHE_SIZE = 65536
 
@@ -141,13 +141,21 @@ class RigidityOracle:
                 kept.append(e)
         return kept
 
-    def reseeded(self, salt: int) -> "RigidityOracle":
-        """Same graph and dimension under a fresh realization."""
-        return RigidityOracle(self.graph, self.d, self.seed, salt)
+    def reseeded(self, retry: int) -> "RigidityOracle":
+        """Same graph and dimension under the realization for a retry.
+
+        The salt is the stream of ``SeededStream(seed, salt).child(retry)``,
+        ``salt * 1_000_003 + retry + 1``: distinct for each (salt, retry),
+        and for a salt of 1 or more and a small retry count equal to no
+        salt the package passes to a constructor.
+        """
+        fresh = SeededStream(self.seed, self.salt).child(retry).stream
+        return RigidityOracle(self.graph, self.d, self.seed, fresh)
 
     def verify_independent(self, edge_ids: Iterable[int], salt: int = 1 << 20) -> bool:
         """Re-check independence under a fresh realization (cuts one-sided error)."""
-        return self.reseeded(self.salt + salt).is_independent(edge_ids)
+        oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + salt)
+        return oracle.is_independent(edge_ids)
 
     def independent(self, edge_ids: Iterable[int]) -> bool:
         return self.is_independent(edge_ids)
@@ -159,7 +167,8 @@ class RigidityOracle:
 class RigidityPartitionState:
     """Incremental independent set over one oracle, with exchange queries.
 
-    Wraps a tracking RowBasis keyed by edge index; ``circuit(e)`` reports
+    Wraps a tracking RowBasis whose member ids are edge indices, with one
+    recycled tracking slot per live edge; ``circuit(e)`` reports
     the fundamental circuit of a dependent edge, i.e. exactly the members y
     for which part - y + e stays independent.
     """
@@ -168,7 +177,9 @@ class RigidityPartitionState:
 
     def __init__(self, oracle: RigidityOracle):
         self.oracle = oracle
-        self.basis = RowBasis(oracle.ncols, track_width=oracle.graph.m)
+        # live members are independent, so at most min(m, r_d(K_n)) hold a slot
+        width = min(oracle.graph.m, complete_rank(oracle.graph.n, oracle.d))
+        self.basis = RowBasis(oracle.ncols, track_width=width)
 
     @property
     def version(self) -> int:
@@ -184,7 +195,7 @@ class RigidityPartitionState:
         return self.basis.circuit(self.oracle.row(edge_id))
 
     def remove(self, edge_id: int) -> None:
-        self.basis.remove(edge_id, self.oracle.row)
+        self.basis.remove(edge_id)
 
 
 def independent_d1(graph: Graph, edge_ids: Iterable[int]) -> bool:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rigidpack.linalg import PRIME, DenseMatrix, RowBasis, rank, rank_of_rows
+from rigidpack.linalg import PRIME, SLOT_BITS, DenseMatrix, RowBasis, rank, rank_of_rows
+from rigidpack.rigidity import Realization, rigidity_matrix_row
 
 
 def bareiss_rank(rows):
@@ -145,7 +146,7 @@ def test_row_basis_remove_consistency():
     for step in range(400):
         if live and rng.random() < 0.4:
             victim = rng.choice(live)
-            basis.remove(victim, raw.__getitem__)
+            basis.remove(victim)
             live.remove(victim)
         else:
             m = rng.randrange(nmem)
@@ -171,3 +172,127 @@ def test_row_basis_circuit_is_fundamental():
     circ = basis.circuit(probe)
     assert circ == set(support)
     assert basis.circuit(raw[11]) is None or 11 not in live
+
+
+def rank_mod_p(rows):
+    """Plain Gaussian elimination over GF(PRIME) on lists: the reference rank."""
+    m = [[x % PRIME for x in r] for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], PRIME - 2, PRIME)
+        m[r] = [x * inv % PRIME for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def brute_circuit(live_rows, probe):
+    """Fundamental circuit by rank alone: y is in it iff live - y + probe is independent."""
+    full = len(live_rows)
+    if rank_mod_p(list(live_rows.values()) + [probe]) > full:
+        return None
+    return {y for y in live_rows
+            if rank_mod_p([r for m, r in live_rows.items() if m != y] + [probe]) == full}
+
+
+def mixed_rows(rng, n, d):
+    """Rigidity rows of K_n (sparse, 2d entries each), dense rows, and planted combinations."""
+    realization = Realization.random(n, d, seed=rng.randrange(1 << 30))
+    rows = [rigidity_matrix_row(realization, n, u, v) for u in range(n) for v in range(u + 1, n)]
+    ncols = d * n
+    rows += [[rng.randrange(PRIME) for _ in range(ncols)] for _ in range(ncols // 2)]
+    for _ in range(4):
+        a, b = rng.sample(range(len(rows)), 2)
+        x = rng.randrange(1, PRIME)
+        rows.append([(p + x * q) % PRIME for p, q in zip(rows[a], rows[b])])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_basis_differential(seed, monkeypatch):
+    rng = random.Random(seed)
+    n, d = 6, 2
+    raw = mixed_rows(rng, n, d)
+    ncols = d * n
+    # member ids run past the slot count: slots are recycled
+    basis = RowBasis(ncols, track_width=ncols)
+    live: dict[int, list[int]] = {}
+
+    def no_insert(*args, **kwargs):
+        raise AssertionError("remove re-inserted a row")
+
+    for _ in range(160):
+        op = rng.random()
+        if live and op < 0.25:
+            victim = rng.choice(sorted(live))
+            with monkeypatch.context() as patched:
+                patched.setattr(RowBasis, "insert", no_insert)
+                basis.remove(victim)
+            del live[victim]
+        elif op < 0.65:
+            m = rng.choice([m for m in range(len(raw)) if m not in live])
+            kept = basis.insert(raw[m], m)
+            assert kept == (rank_mod_p(list(live.values()) + [raw[m]]) > len(live))
+            if kept:
+                live[m] = raw[m]
+        else:
+            if live and rng.random() < 0.5:
+                # a combination of live rows, so the query is dependent
+                probe = [0] * ncols
+                for m in rng.sample(sorted(live), rng.randrange(1, len(live) + 1)):
+                    x = rng.randrange(1, PRIME)
+                    probe = [(p + x * q) % PRIME for p, q in zip(probe, live[m])]
+            else:
+                probe = raw[rng.randrange(len(raw))]
+            assert basis.circuit(probe) == brute_circuit(live, probe)
+        assert sorted(basis.index_of) == sorted(live)
+        # rows independent over GF(PRIME) are independent over the rationals
+        assert len(basis) == len(live) == bareiss_rank(list(live.values()))
+        assert len(set(basis.index_of.values())) == len(live)
+
+
+def slot_values(packed, width):
+    return [(packed >> (SLOT_BITS * i)) & ((1 << SLOT_BITS) - 1) for i in range(width)]
+
+
+def test_row_basis_slot_bound_under_pending_updates():
+    # rows 0..11 are e_i plus a dense tail on columns 12..23; rows 12..23 live
+    # on the tail only.  Each tail row takes a new pivot in the tail and
+    # clears it from rows 0..11, which no later insert uses as a multiplier,
+    # so their updates pile up un-canonicalised.
+    rng = random.Random(5)
+    ncols, half = 24, 12
+    raw = [[rng.randrange(1, PRIME) if c == i or c >= half else 0 for c in range(ncols)]
+           for i in range(half)]
+    raw += [[rng.randrange(PRIME) if c >= half else 0 for c in range(ncols)]
+            for _ in range(half)]
+    basis = RowBasis(ncols, track_width=ncols)
+    for m, row in enumerate(raw):
+        assert basis.insert(row, m)
+    noncanonical = 0
+    for pivot, updates in basis.pending.items():
+        bound = (1 << 61) + updates * (1 << 122)
+        for part in (basis.rows[pivot], basis.tracks[pivot]):
+            slots = slot_values(part, ncols)
+            assert max(slots) < bound
+            noncanonical += any(v >= PRIME for v in slots)
+    assert max(basis.pending.values()) == half
+    assert noncanonical > 0
+    # queries still see the exact basis: every raw row's circuit is itself
+    for m, row in enumerate(raw):
+        assert basis.circuit(row) == {m}
+    live = dict(enumerate(raw))
+    probe = [(a + 3 * b) % PRIME for a, b in zip(raw[0], raw[7])]
+    assert basis.circuit(probe) == brute_circuit(live, probe) == {0, 7}
+    # every row has since served as a multiplier, so every row is canonical
+    assert not basis.pending
+    for pivot, row in basis.rows.items():
+        for part in (row, basis.tracks[pivot]):
+            assert max(slot_values(part, ncols)) < PRIME

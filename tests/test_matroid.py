@@ -6,6 +6,7 @@ import pytest
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
 from rigidpack.matroid import (
     GraphicOracle,
+    OracleInconsistencyError,
     pack_rigid,
     pack_tree_rigid,
     partition,
@@ -152,3 +153,98 @@ def test_debug_mode_checks_each_augmentation():
     g = complete_graph(8)
     oracles = [RigidityOracle(g, 2, salt=1), RigidityOracle(g, 2, salt=2)]
     assert partition(oracles, range(g.m), debug=True).total == 26
+
+
+class ScriptedOracle:
+    """A rigidity oracle whose states reject scripted inserts.
+
+    ``script["apply"]`` counts inserts still to be rejected while an
+    augmenting path is applied (the first insert into a state after a
+    removal); ``script["replay"]`` counts first inserts still to be rejected
+    in states of reseeded oracles, i.e. while ``partition`` replays the
+    verified parts. Reseeded oracles share the script and append their salt
+    to ``log``.
+    """
+
+    def __init__(self, inner, script, log, reseeded=False):
+        self.inner, self.script, self.log, self.fresh = inner, script, log, reseeded
+
+    def new_state(self):
+        self.script["states"] += 1
+        return ScriptedState(self.inner.new_state(), self.script, self.fresh)
+
+    def independent(self, edge_ids):
+        return self.inner.is_independent(edge_ids)
+
+    def reseeded(self, retry):
+        oracle = ScriptedOracle(self.inner.reseeded(retry), self.script, self.log, True)
+        self.log.append(oracle.inner.salt)
+        return oracle
+
+
+class ScriptedState:
+    def __init__(self, inner, script, fresh):
+        self.inner, self.script = inner, script
+        self.after_remove = False
+        self.replaying = fresh
+
+    @property
+    def version(self):
+        return self.inner.version
+
+    def members(self):
+        return self.inner.members()
+
+    def insert(self, edge_id):
+        applying, self.after_remove = self.after_remove, False
+        replaying, self.replaying = self.replaying, False
+        for key, armed in (("apply", applying), ("replay", replaying)):
+            if armed and self.script[key]:
+                self.script[key] -= 1
+                return False
+        return self.inner.insert(edge_id)
+
+    def circuit(self, edge_id):
+        return self.inner.circuit(edge_id)
+
+    def remove(self, edge_id):
+        self.after_remove = True
+        self.inner.remove(edge_id)
+
+
+def scripted_k8(apply, replay=0):
+    g = complete_graph(8)
+    script = {"apply": apply, "replay": replay, "states": 0}
+    log = []
+    oracles = [ScriptedOracle(RigidityOracle(g, 2, salt=i + 1), script, log) for i in range(2)]
+    return g, oracles, script, log
+
+
+def test_partition_recovers_from_rejected_augmentations():
+    g, oracles, script, log = scripted_k8(apply=2)
+    result = partition(oracles, range(g.m))
+    assert script["apply"] == 0 and len(log) == 2
+    # every retry replays both parts into fresh states
+    assert script["states"] == 2 + 2 * len(log)
+    assert result.total == 26
+    for part in result.parts:
+        assert RigidityOracle(g, 2, salt=99).is_independent(part)
+    in_use = {1, 2}
+    for salt in log:
+        assert salt not in in_use
+        in_use.add(salt)
+
+
+def test_partition_gives_up_after_max_retries():
+    g, oracles, script, log = scripted_k8(apply=3)
+    with pytest.raises(OracleInconsistencyError, match="kept failing"):
+        partition(oracles, range(g.m), max_retries=2)
+    assert len(log) == 2 and script["apply"] == 0
+    assert len({1, 2, *log}) == 4
+
+
+def test_partition_rejects_inconsistent_replay():
+    g, oracles, script, log = scripted_k8(apply=1, replay=1)
+    with pytest.raises(OracleInconsistencyError, match="rejected by reseeded oracle"):
+        partition(oracles, range(g.m))
+    assert len(log) == 1 and script["replay"] == 0
