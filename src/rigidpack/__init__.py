@@ -12,7 +12,6 @@ from .connectivity import (
     brute_force_connectivity,
     certificate_is_valid,
     is_k_connected,
-    pair_connectivity_map,
     vertex_connectivity_pair,
 )
 from .generators import (
@@ -41,7 +40,7 @@ from .graph import (
     write_digraph,
     write_graph,
 )
-from .linalg import PRIME, DenseMatrix, RowBasis, rank, rank_of_rows
+from .linalg import PRIME, RowBasis
 from .matroid import (
     GraphicOracle,
     MatroidPartition,
@@ -73,7 +72,6 @@ from .rigidity import (
     complete_rank,
     independent_d1,
     independent_d2,
-    rigidity_matrix,
     rigidity_matrix_row,
 )
 from .stochastic import (

@@ -29,7 +29,7 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    GraphFormatError,
+    VertexOrdering,
     read_digraph,
     read_graph,
     write_digraph,
@@ -43,7 +43,6 @@ from .orientation import (
 )
 from .rigidity import RigidityOracle
 from .stochastic import (
-    SeededStream,
     back_degree_subgraph,
     binomial_tail_check,
     check_back_degree_independent,
@@ -51,7 +50,7 @@ from .stochastic import (
     independent_subgraph_stats,
     mean_stderr,
 )
-from .graph import VertexOrdering
+from .stream import SeededStream
 
 SCHEMA = 1
 
@@ -150,6 +149,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.t < 1:
+        raise ValueError("t must be at least 1")
     graph = read_graph(_read_input(args))
     ground = range(graph.m)
     if args.t == 1 and not args.graphic:
@@ -165,42 +166,31 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _emit_parts(args, graph: Graph, parts) -> None:
-    blocks = []
-    for part in parts:
-        sub = graph.subgraph(sorted(part))
-        blocks.append(write_graph(sub))
+def _report_packing(args, graph: Graph, result, obj: str) -> int:
+    """Emit one edge-list block per part, print the report, return the exit code."""
+    blocks = [write_graph(graph.subgraph(sorted(part))) for part in result.parts]
     _emit_object(args, "\n".join(blocks))
+    stats = {
+        "sizes": list(result.sizes),
+        "targets": list(result.target_sizes),
+        "feasible": result.feasible,
+        "verified": result.verified,
+        "deficiency": result.deficiency,
+    }
+    print(_report(obj, args.seed, stats))
+    return 0 if result.feasible and result.verified else 1
 
 
 def _cmd_pack(args) -> int:
     graph = read_graph(_read_input(args))
     result = pack_rigid(graph, args.d, args.t, args.seed)
-    _emit_parts(args, graph, result.parts)
-    stats = {
-        "sizes": list(result.sizes),
-        "targets": list(result.target_sizes),
-        "feasible": result.feasible,
-        "verified": result.verified,
-        "deficiency": result.deficiency,
-    }
-    print(_report("packing", args.seed, stats))
-    return 0 if result.feasible and result.verified else 1
+    return _report_packing(args, graph, result, "packing")
 
 
 def _cmd_kriesell(args) -> int:
     graph = read_graph(_read_input(args))
     result = pack_tree_rigid(graph, args.d, args.seed)
-    _emit_parts(args, graph, result.parts)
-    stats = {
-        "sizes": list(result.sizes),
-        "targets": list(result.target_sizes),
-        "feasible": result.feasible,
-        "verified": result.verified,
-        "deficiency": result.deficiency,
-    }
-    print(_report("tree-rigid-packing", args.seed, stats))
-    return 0 if result.feasible and result.verified else 1
+    return _report_packing(args, graph, result, "tree-rigid-packing")
 
 
 def _cmd_orient(args) -> int:
@@ -420,9 +410,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ O(sqrt(V) * E) per pair on the unit-capacity internal arcs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
@@ -32,7 +31,7 @@ class CutCertificate:
     pair: tuple[int, int]
 
 
-def _split_network(h: GraphLike, u: int, v: int) -> FlowNetwork:
+def _split_network(h: GraphLike) -> FlowNetwork:
     """Vertex-split network: x_in = 2x, x_out = 2x+1, internal caps 1.
 
     Arcs between vertices get capacity n so that every minimum cut consists
@@ -73,7 +72,7 @@ def vertex_connectivity_pair(
         raise ValueError("need two distinct vertices")
     if _adjacent(h, u, v):
         raise ValueError(f"({u}, {v}) are adjacent: no finite separator")
-    net = _split_network(h, u, v)
+    net = _split_network(h)
     value = net.max_flow(2 * u + 1, 2 * v, limit)
     if limit is not None and value >= limit:
         return value, frozenset()
@@ -166,13 +165,3 @@ def brute_force_connectivity(h: GraphLike, k: int) -> bool:
             if not _connected_after_removal(h, frozenset(removed)):
                 return False
     return True
-
-
-def pair_connectivity_map(
-    h: GraphLike, pairs: list[tuple[int, int]], threads: int = 1
-) -> list[tuple[int, frozenset[int]]]:
-    """vertex_connectivity_pair over many pairs; results in input order."""
-    if threads <= 1:
-        return [vertex_connectivity_pair(h, a, b) for a, b in pairs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: vertex_connectivity_pair(h, *p), pairs))

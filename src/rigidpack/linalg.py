@@ -42,9 +42,8 @@ every slot, applied through per-slot masks until no slot reaches 2^61.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 PRIME = (1 << 61) - 1
 
@@ -229,49 +228,3 @@ class RowBasis:
         self.slot_member[slot] = -1
         self.free_slots.append(slot)
         self.version += 1
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Row-major matrix of field entries (ints in [0, PRIME))."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "DenseMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(e % PRIME for e in r)
-        return cls(len(rows), cols, tuple(flat))
-
-    def row(self, i: int) -> list[int]:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row index {i} out of range")
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-
-def rank(matrix: DenseMatrix) -> int:
-    """Rank of the matrix over GF(PRIME)."""
-    basis = RowBasis(matrix.cols)
-    for i in range(matrix.rows):
-        basis.insert(matrix.row(i))
-    return len(basis)
-
-
-def rank_of_rows(matrix: DenseMatrix, row_indices: Iterable[int]) -> int:
-    """Rank of the submatrix formed by the selected rows (repeats allowed)."""
-    basis = RowBasis(matrix.cols)
-    for i in row_indices:
-        basis.insert(matrix.row(i))
-    return len(basis)

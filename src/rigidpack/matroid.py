@@ -35,7 +35,6 @@ class MatroidState(Protocol):
 
 class IndependenceOracle(Protocol):
     def new_state(self) -> MatroidState: ...
-    def independent(self, edge_ids: Iterable[int]) -> bool: ...
     def reseeded(self, retry: int) -> "IndependenceOracle":
         """The oracle to use after the retry-th failed augmentation.
 
@@ -57,12 +56,6 @@ class GraphicOracle:
 
     def new_state(self) -> "ForestState":
         return ForestState(self.graph)
-
-    def independent(self, edge_ids: Iterable[int]) -> bool:
-        return independent_d1(self.graph, edge_ids)
-
-    def verify_independent(self, edge_ids: Iterable[int]) -> bool:
-        return self.independent(edge_ids)
 
     def reseeded(self, retry: int) -> "GraphicOracle":
         return self
@@ -171,7 +164,6 @@ class _Retry(Exception):
 def partition(
     oracles: Sequence[IndependenceOracle],
     ground: Iterable[int],
-    debug: bool = False,
     max_retries: int = 4,
 ) -> MatroidPartition:
     """Maximum-cardinality partition of the ground set into independent parts."""
@@ -198,7 +190,7 @@ def partition(
     while idx < len(order):
         e = order[idx]
         try:
-            _place(e, states, caches, parts, part_of, oracles, debug)
+            _place(e, states, caches, parts, part_of)
         except _Retry as sig:
             retries += 1
             if retries > max_retries:
@@ -215,7 +207,7 @@ def partition(
     return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order))
 
 
-def _place(e, states, caches, parts, part_of, oracles, debug) -> bool:
+def _place(e, states, caches, parts, part_of) -> bool:
     for i, st in enumerate(states):
         if st.insert(e):
             parts[i].add(e)
@@ -265,10 +257,6 @@ def _place(e, states, caches, parts, part_of, oracles, debug) -> bool:
             parts[i].discard(rem)
         parts[i].add(add)
         part_of[add] = i
-    if debug:
-        for i in {i for (i, _, _) in moves}:
-            if not oracles[i].independent(parts[i]):
-                raise _Retry(i)
     return True
 
 
@@ -315,10 +303,7 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0,
     feasible = all(len(p) == target for p in result.parts)
     verified = False
     if verify and feasible:
-        verified = all(
-            RigidityOracle(graph, d, seed, salt=1001 + i).rank(p) == target
-            for i, p in enumerate(result.parts)
-        )
+        verified = all(o.verify_independent(p) for o, p in zip(oracles, result.parts))
     return PackingResult(result.parts, (target,) * t, feasible, verified, seed)
 
 
@@ -338,9 +323,6 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0,
     feasible = all(len(p) == t for p, t in zip(result.parts, targets))
     verified = False
     if verify and feasible:
-        tree_ok = independent_d1(graph, result.parts[0])
-        rigid_ok = (
-            RigidityOracle(graph, d, seed, salt=1002).rank(result.parts[1]) == targets[1]
-        )
-        verified = tree_ok and rigid_ok
+        verified = (independent_d1(graph, result.parts[0])
+                    and oracles[1].verify_independent(result.parts[1]))
     return PackingResult(result.parts, targets, feasible, verified, seed)

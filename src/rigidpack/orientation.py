@@ -237,8 +237,7 @@ def rigid_base_orientation(
     result = hakimi_orientation(base, rigid_base_spec(base.n, d, deficits))
     if isinstance(result, Digraph):
         return result
-    oracle = RigidityOracle(base, d, seed, salt=7001)
-    if oracle.rank(range(base.m)) < base.m:
+    if not RigidityOracle(base, d, seed).verify_independent(range(base.m)):
         raise OrientationInfeasibleError("not-minimally-rigid", result)
     raise OrientationInfeasibleError("oracle-error", result)
 

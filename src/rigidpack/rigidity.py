@@ -15,15 +15,12 @@ exist: d=1 (forests, union-find) and d=2 (the (2,3)-pebble game).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph
-from .linalg import PRIME, DenseMatrix, RowBasis
+from .linalg import PRIME, RowBasis
 from .stream import SeededStream, stream_rng
-
-_RANK_CACHE_SIZE = 65536
 
 
 def complete_rank(n: int, d: int) -> int:
@@ -67,20 +64,12 @@ def rigidity_matrix_row(realization: Realization, n: int, u: int, v: int) -> lis
     return row
 
 
-def rigidity_matrix(graph: Graph, realization: Realization) -> DenseMatrix:
-    """One row per edge in edge-index order; d*n columns (even when edgeless)."""
-    if len(realization.coords) < graph.n:
-        raise ValueError("realization does not cover all vertices")
-    rows = [rigidity_matrix_row(realization, graph.n, u, v) for u, v in graph.edges]
-    return DenseMatrix.from_rows(rows, cols=realization.d * graph.n)
-
-
 class RigidityOracle:
     """Rank and independence queries for R_d over one fixed realization.
 
-    Queries are pure given (seed, salt); results are memoized by frozenset
-    of edge indices in a bounded LRU, since matroid partition re-queries
-    heavily overlapping sets.
+    Queries are pure given (seed, salt).  Each query eliminates afresh; only
+    the matrix row of each edge is cached.  Matroid partition does not ask
+    for ranks: it grows ``RigidityPartitionState`` bases incrementally.
     """
 
     def __init__(self, graph: Graph, d: int, seed: int = 0, salt: int = 0):
@@ -90,7 +79,6 @@ class RigidityOracle:
         self.salt = salt
         self.realization = Realization.random(graph.n, d, seed, salt)
         self._rows: dict[int, list[int]] = {}
-        self._rank_cached = functools.lru_cache(maxsize=_RANK_CACHE_SIZE)(self._rank_uncached)
 
     @property
     def ncols(self) -> int:
@@ -104,14 +92,8 @@ class RigidityOracle:
             self._rows[edge_id] = r
         return r
 
-    def _rank_uncached(self, edge_ids: frozenset[int]) -> int:
-        basis = RowBasis(self.ncols)
-        for e in sorted(edge_ids):
-            basis.insert(self.row(e))
-        return len(basis)
-
     def rank(self, edge_ids: Iterable[int]) -> int:
-        return self._rank_cached(frozenset(edge_ids))
+        return len(self.extract_base(edge_ids))
 
     def is_independent(self, edge_ids: Iterable[int]) -> bool:
         ids = frozenset(edge_ids)
@@ -152,13 +134,14 @@ class RigidityOracle:
         fresh = SeededStream(self.seed, self.salt).child(retry).stream
         return RigidityOracle(self.graph, self.d, self.seed, fresh)
 
-    def verify_independent(self, edge_ids: Iterable[int], salt: int = 1 << 20) -> bool:
-        """Re-check independence under a fresh realization (cuts one-sided error)."""
-        oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + salt)
-        return oracle.is_independent(edge_ids)
+    def verify_independent(self, edge_ids: Iterable[int]) -> bool:
+        """Re-check independence under a fresh realization (cuts one-sided error).
 
-    def independent(self, edge_ids: Iterable[int]) -> bool:
-        return self.is_independent(edge_ids)
+        The fresh salt is ``salt + 2^20``; for the salts the package uses,
+        no constructor or retry draws it.
+        """
+        oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + (1 << 20))
+        return oracle.is_independent(edge_ids)
 
     def new_state(self) -> "RigidityPartitionState":
         return RigidityPartitionState(self)

@@ -294,6 +294,8 @@ def binomial_tail_check(
     n: int, p: float, eta: float, trials: int, stream: SeededStream
 ) -> TailCheck:
     """Empirical lower-tail frequency of Binomial(n, p) against the bound."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = stream.rng()
     threshold = (1 - eta) * n * p
     hits = 0

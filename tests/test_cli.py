@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from rigidpack.cli import main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
@@ -135,6 +137,16 @@ def test_orient_explicit_R(capsys, monkeypatch):
 def test_parse_error_exit_2(capsys, monkeypatch):
     code, _ = run_cli(capsys, monkeypatch, ["verify", "--k", "2"], stdin="2 1\n1 1\n")
     assert code == 2
+    # out-of-range flags are usage errors too
+    for argv, stdin, message in (
+        (["rank", "--d", "2", "--t", "-1", "--graphic"], write_graph(complete_graph(5)),
+         "t must be at least 1"),
+        (["gen", "gnp", "--n", "5", "--p", "2"], "", "probability"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_simulate_ordering(capsys, monkeypatch):
@@ -175,6 +187,20 @@ def test_simulate_chernoff(capsys, monkeypatch):
     report = last_json(out)
     assert report["stats"]["verdict"] is True
     assert len(report["stats"]["points"]) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["ordering", "--set-size", "10", "--d", "3"],
+    ["e0", "--d", "1", "--t", "1"],
+    ["gpd", "--cap", "3"],
+    ["chernoff"],
+])
+def test_simulate_zero_trials_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(complete_graph(8))))
+    code = main(["simulate", *argv, "--trials", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_deterministic_output(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from rigidpack.connectivity import (
     brute_force_connectivity,
     certificate_is_valid,
     is_k_connected,
-    pair_connectivity_map,
     vertex_connectivity_pair,
 )
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
@@ -138,15 +137,3 @@ def test_graph_matches_symmetric_digraph():
         for k in (1, 2, 3):
             assert is_k_connected(g, k)[0] == brute_force_connectivity(g, k)
 
-
-def test_pair_map_matches_sequential():
-    g = gnp_graph(10, 0.4, seed=14)
-    pairs = [
-        (u, v)
-        for u in range(3)
-        for v in range(10)
-        if u != v and not g.has_edge(u, v)
-    ]
-    seq = pair_connectivity_map(g, pairs, threads=1)
-    par = pair_connectivity_map(g, pairs, threads=4)
-    assert seq == par

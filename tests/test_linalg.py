@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rigidpack.linalg import PRIME, SLOT_BITS, DenseMatrix, RowBasis, rank, rank_of_rows
+from rigidpack.linalg import PRIME, SLOT_BITS, RowBasis
 from rigidpack.rigidity import Realization, rigidity_matrix_row
 
 
@@ -30,17 +30,25 @@ def bareiss_rank(rows):
     return r
 
 
+def basis_rank(rows):
+    """Rank over GF(PRIME) of a list of equal-length rows, through RowBasis."""
+    basis = RowBasis(len(rows[0]) if rows else 0)
+    for r in rows:
+        basis.insert(r)
+    return len(basis)
+
+
 def random_matrix(rng, rows, cols, bound=100):
     return [[rng.randrange(bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_zero_matrix_rank():
-    assert rank(DenseMatrix.from_rows([[0, 0, 0]] * 3)) == 0
+    assert basis_rank([[0, 0, 0]] * 3) == 0
 
 
 def test_identity_pattern_rank():
     rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert rank(DenseMatrix.from_rows(rows)) == 4
+    assert basis_rank(rows) == 4
 
 
 def test_rank_matches_rational_oracle():
@@ -53,24 +61,24 @@ def test_rank_matches_rational_oracle():
         if nrows >= 3:
             rows[-1] = rows[0][:]
             rows[-2] = [3 * x for x in rows[1]]
-        assert rank(DenseMatrix.from_rows(rows)) == bareiss_rank(rows)
+        assert basis_rank(rows) == bareiss_rank(rows)
 
 
 def test_rank_50x30_random():
     rng = random.Random(7)
     rows = random_matrix(rng, 50, 30)
-    assert rank(DenseMatrix.from_rows(rows)) == bareiss_rank(rows)
+    assert basis_rank(rows) == bareiss_rank(rows)
 
 
 def test_rank_invariant_under_permutation_and_scaling():
     rng = random.Random(11)
     rows = random_matrix(rng, 8, 6)
-    base = rank(DenseMatrix.from_rows(rows))
+    base = basis_rank(rows)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    assert rank(DenseMatrix.from_rows(shuffled)) == base
+    assert basis_rank(shuffled) == base
     scaled = [[(x * 12345) % PRIME for x in r] for r in rows]
-    assert rank(DenseMatrix.from_rows(scaled)) == base
+    assert basis_rank(scaled) == base
 
 
 def test_rank_bounded_by_dimensions():
@@ -78,41 +86,31 @@ def test_rank_bounded_by_dimensions():
     for _ in range(10):
         nrows = rng.randrange(1, 9)
         ncols = rng.randrange(1, 9)
-        m = DenseMatrix.from_rows(random_matrix(rng, nrows, ncols))
-        assert rank(m) <= min(nrows, ncols)
+        assert basis_rank(random_matrix(rng, nrows, ncols)) <= min(nrows, ncols)
 
 
 def test_submodularity_over_row_sets():
     rng = random.Random(13)
     rows = random_matrix(rng, 10, 6)
-    m = DenseMatrix.from_rows(rows)
     universe = list(range(10))
+
+    def rank_of(sel):
+        return basis_rank([rows[i] for i in sel])
+
     for _ in range(50):
         a = set(rng.sample(universe, rng.randrange(11)))
         b = set(rng.sample(universe, rng.randrange(11)))
-        lhs = rank_of_rows(m, a | b) + rank_of_rows(m, a & b)
-        rhs = rank_of_rows(m, a) + rank_of_rows(m, b)
-        assert lhs <= rhs
+        assert rank_of(a | b) + rank_of(a & b) <= rank_of(a) + rank_of(b)
 
 
-def test_rank_of_rows_edge_cases():
+def test_basis_rank_edge_cases():
     rng = random.Random(4)
     rows = random_matrix(rng, 5, 4)
-    m = DenseMatrix.from_rows(rows)
-    assert rank_of_rows(m, []) == 0
-    assert rank_of_rows(m, [2]) == (1 if any(rows[2]) else 0)
-    assert rank_of_rows(m, range(5)) == rank(m)
-    # a duplicated selection contributes once
-    assert rank_of_rows(m, [1, 1]) == rank_of_rows(m, [1])
-    with pytest.raises(IndexError):
-        rank_of_rows(m, [9])
-
-
-def test_dense_matrix_validation():
-    with pytest.raises(ValueError):
-        DenseMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError):
-        DenseMatrix.from_rows([[1, 2], [3]])
+    assert basis_rank([]) == 0
+    assert basis_rank([rows[2]]) == (1 if any(rows[2]) else 0)
+    assert basis_rank(rows) == bareiss_rank(rows)
+    # a duplicated row contributes once
+    assert basis_rank([rows[1], rows[1]]) == basis_rank([rows[1]])
 
 
 def test_row_basis_incremental_matches_batch():

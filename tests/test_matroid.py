@@ -149,12 +149,6 @@ def test_partition_ground_subset():
     assert all(p <= ground for p in result.parts)
 
 
-def test_debug_mode_checks_each_augmentation():
-    g = complete_graph(8)
-    oracles = [RigidityOracle(g, 2, salt=1), RigidityOracle(g, 2, salt=2)]
-    assert partition(oracles, range(g.m), debug=True).total == 26
-
-
 class ScriptedOracle:
     """A rigidity oracle whose states reject scripted inserts.
 
@@ -172,9 +166,6 @@ class ScriptedOracle:
     def new_state(self):
         self.script["states"] += 1
         return ScriptedState(self.inner.new_state(), self.script, self.fresh)
-
-    def independent(self, edge_ids):
-        return self.inner.is_independent(edge_ids)
 
     def reseeded(self, retry):
         oracle = ScriptedOracle(self.inner.reseeded(retry), self.script, self.log, True)
