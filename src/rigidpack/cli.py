@@ -235,8 +235,7 @@ def _cmd_verify(args) -> int:
     text = _read_input(args)
     target = read_digraph(text) if args.digraph else read_graph(text)
     ok, cert = is_k_connected(target, args.k)
-    n = target.n if isinstance(target, Graph) else target.parent.n
-    stats = {"k": args.k, "n": n, "connected": ok}
+    stats = {"k": args.k, "n": target.n, "connected": ok}
     certs = [_cert_dict(cert)] if cert else []
     if not ok and cert is None:
         certs = [{"kind": "too-few-vertices"}]

@@ -37,10 +37,9 @@ def _split_network(h: GraphLike) -> FlowNetwork:
     Arcs between vertices get capacity n so that every minimum cut consists
     of internal arcs only and reads off as a vertex separator.
     """
-    g = h if isinstance(h, Graph) else h.parent
-    net = FlowNetwork(2 * g.n)
-    big = g.n
-    for x in range(g.n):
+    net = FlowNetwork(2 * h.n)
+    big = h.n
+    for x in range(h.n):
         net.add_arc(2 * x, 2 * x + 1, 1)
     if isinstance(h, Graph):
         for a, b in h.edges:
@@ -78,7 +77,7 @@ def vertex_connectivity_pair(
         return value, frozenset()
     reach = net.source_side(2 * u + 1)
     sep = frozenset(
-        x for x in range(h.n if isinstance(h, Graph) else h.parent.n)
+        x for x in range(h.n)
         if x != u and x != v and 2 * x in reach and 2 * x + 1 not in reach
     )
     return value, sep
@@ -93,7 +92,7 @@ def is_k_connected(h: GraphLike, k: int) -> tuple[bool, CutCertificate | None]:
     if k < 1:
         raise ValueError("k must be at least 1")
     directed = isinstance(h, Digraph)
-    n = h.parent.n if directed else h.n
+    n = h.n
     kind = "digraph" if directed else "graph"
     if n < k + 1:
         return False, None
@@ -139,8 +138,7 @@ def _reachable(h: GraphLike, a: int, b: int, removed: frozenset[int]) -> bool:
 
 def _connected_after_removal(h: GraphLike, removed: frozenset[int]) -> bool:
     directed = isinstance(h, Digraph)
-    n = h.parent.n if directed else h.n
-    remaining = [x for x in range(n) if x not in removed]
+    remaining = [x for x in range(h.n) if x not in removed]
     if len(remaining) <= 1:
         return True
     root = remaining[0]
@@ -154,8 +152,7 @@ def _connected_after_removal(h: GraphLike, removed: frozenset[int]) -> bool:
 
 def brute_force_connectivity(h: GraphLike, k: int) -> bool:
     """Reference decision by exhausting all vertex subsets of size < k (n <= 12)."""
-    directed = isinstance(h, Digraph)
-    n = h.parent.n if directed else h.n
+    n = h.n
     if n > 12:
         raise ValueError("brute force is limited to n <= 12")
     if n < k + 1:

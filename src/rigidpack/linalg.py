@@ -65,8 +65,7 @@ class RowBasis:
     """
 
     __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
-                 "index_of", "slot_member", "free_slots", "version",
-                 "_ones", "_low", "_high")
+                 "index_of", "slot_member", "free_slots", "_ones", "_low", "_high")
 
     def __init__(self, ncols: int, track_width: int = 0):
         self.ncols = ncols
@@ -78,7 +77,6 @@ class RowBasis:
         self.index_of: dict[int, int] = {}
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
-        self.version = 0
         # per-slot masks, wide enough for the structural and the tracking part
         self._ones = int.from_bytes(
             (b"\x01" + bytes(_SLOT_BYTES - 1)) * max(ncols, track_width), "little")
@@ -166,7 +164,6 @@ class RowBasis:
         rows[pivot] = row
         if tracked:
             tracks[pivot] = track
-        self.version += 1
         return True
 
     def residue(self, entries: Sequence[int]) -> list[int]:
@@ -227,4 +224,3 @@ class RowBasis:
         del rows[drop], tracks[drop]
         self.slot_member[slot] = -1
         self.free_slots.append(slot)
-        self.version += 1

@@ -1,13 +1,15 @@
 """Matroid partition over pluggable independence oracles.
 
 The partition algorithm maintains one independent set per oracle and grows
-the family one ground element at a time: try a direct insert into each
-part, and otherwise run a breadth-first augmenting search in the exchange
-digraph (arc x -> y when part_i + x is dependent but part_i + x - y is
-not; arc x -> sink_i when part_i + x is independent).  A shortest path is
-applied as a chain of swaps; if no path exists the element is spanned by
-the union and stays uncovered for good.  Sources are processed in canonical
-edge order and ties break lexicographically, so runs are reproducible.
+the family one ground element at a time by a breadth-first augmenting
+search in the exchange digraph (arc x -> y when part_i + x is dependent
+but part_i + x - y is not; arc x -> sink_i when part_i + x is
+independent).  A direct insert is the path of length 0.  A shortest path
+is applied as a chain of swaps; if no path exists the element is spanned
+by the union and stays uncovered for good.  Sources are processed in
+canonical edge order and ties break lexicographically, so runs are
+reproducible.  ``partition`` owns the circuit memo: one dict per part,
+cleared whenever a move touches that part.
 
 Rigidity oracles are randomized with one-sided error: a false "dependent"
 verdict can only surface as a swap that breaks a part, which is detected on
@@ -25,9 +27,6 @@ from .rigidity import RigidityOracle, complete_rank, independent_d1
 
 
 class MatroidState(Protocol):
-    version: int
-
-    def members(self) -> set[int]: ...
     def insert(self, edge_id: int) -> bool: ...
     def circuit(self, edge_id: int) -> set[int] | None: ...
     def remove(self, edge_id: int) -> None: ...
@@ -66,12 +65,7 @@ class ForestState:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._edges: set[int] = set()
         self._adj: dict[int, list[tuple[int, int]]] = {}
-        self.version = 0
-
-    def members(self) -> set[int]:
-        return set(self._edges)
 
     def _root(self, start: int, goal: int) -> dict[int, tuple[int, int]] | None:
         """BFS in the forest from start; parent map if goal reached, else None."""
@@ -90,10 +84,8 @@ class ForestState:
         u, v = self.graph.edges[edge_id]
         if self._root(u, v) is not None:
             return False
-        self._edges.add(edge_id)
         self._adj.setdefault(u, []).append((v, edge_id))
         self._adj.setdefault(v, []).append((u, edge_id))
-        self.version += 1
         return True
 
     def circuit(self, edge_id: int) -> set[int] | None:
@@ -110,10 +102,8 @@ class ForestState:
 
     def remove(self, edge_id: int) -> None:
         u, v = self.graph.edges[edge_id]
-        self._edges.discard(edge_id)
         self._adj[u].remove((v, edge_id))
         self._adj[v].remove((u, edge_id))
-        self.version += 1
 
 
 @dataclass(frozen=True)
@@ -139,23 +129,6 @@ class MatroidPartition:
         return self.ground - covered
 
 
-class _CircuitCache:
-    """Memoizes circuit queries per (state version, element)."""
-
-    def __init__(self, state: MatroidState):
-        self.state = state
-        self.version = state.version
-        self.table: dict[int, set[int] | None] = {}
-
-    def circuit(self, e: int) -> set[int] | None:
-        if self.version != self.state.version:
-            self.table.clear()
-            self.version = self.state.version
-        if e not in self.table:
-            self.table[e] = self.state.circuit(e)
-        return self.table[e]
-
-
 class _Retry(Exception):
     def __init__(self, oracle_index: int):
         self.oracle_index = oracle_index
@@ -171,26 +144,25 @@ def partition(
     if not oracles:
         raise ValueError("need at least one oracle")
     order = sorted(set(ground))
-    parts: list[set[int]] = [set() for _ in oracles]
     states: list[MatroidState] = [o.new_state() for o in oracles]
-    caches = [_CircuitCache(s) for s in states]
+    memos: list[dict[int, set[int] | None]] = [{} for _ in oracles]
     part_of: dict[int, int] = {}
     retries = 0
 
     def rebuild(i: int) -> None:
         states[i] = oracles[i].new_state()
-        for e in sorted(parts[i]):
+        memos[i].clear()
+        for e in sorted(x for x, j in part_of.items() if j == i):
             if not states[i].insert(e):
                 raise OracleInconsistencyError(
                     f"verified part {i} rejected by reseeded oracle"
                 )
-        caches[i] = _CircuitCache(states[i])
 
     idx = 0
     while idx < len(order):
         e = order[idx]
         try:
-            _place(e, states, caches, parts, part_of)
+            _place(e, states, memos, part_of)
         except _Retry as sig:
             retries += 1
             if retries > max_retries:
@@ -204,39 +176,39 @@ def partition(
                 rebuild(i)
             continue
         idx += 1
+    parts: list[set[int]] = [set() for _ in oracles]
+    for x, i in part_of.items():
+        parts[i].add(x)
     return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order))
 
 
-def _place(e, states, caches, parts, part_of) -> bool:
-    for i, st in enumerate(states):
-        if st.insert(e):
-            parts[i].add(e)
-            part_of[e] = i
-            return True
-
-    # breadth-first augmenting search, lexicographic within layers
+def _place(e, states, memos, part_of) -> None:
+    # breadth-first augmenting search, lexicographic within layers; a part
+    # whose circuit of e is None takes e directly (the path of length 0)
     prev: dict[int, tuple[int, int]] = {e: (-1, -1)}
     frontier = [e]
     found: tuple[int, int] | None = None
     while frontier and found is None:
         nxt: list[int] = []
         for x in frontier:
-            for i in range(len(states)):
+            for i, memo in enumerate(memos):
                 if part_of.get(x) == i:
                     continue
-                circ = caches[i].circuit(x)
+                if x not in memo:
+                    memo[x] = states[i].circuit(x)
+                circ = memo[x]
                 if circ is None:
                     found = (x, i)
                     break
-                for y in sorted(circ):
+                for y in circ:
                     if y not in prev:
                         prev[y] = (x, i)
                         nxt.append(y)
             if found:
                 break
-        frontier = sorted(set(nxt))
+        frontier = sorted(nxt)
     if found is None:
-        return False
+        return
 
     x, sink = found
     moves: list[tuple[int, int, int | None]] = [(sink, x, None)]
@@ -247,17 +219,15 @@ def _place(e, states, caches, parts, part_of) -> bool:
         cur = px
 
     for (i, _, rem) in moves:
+        memos[i].clear()
         if rem is not None:
             states[i].remove(rem)
     for (i, add, _) in moves:
         if not states[i].insert(add):
             raise _Retry(i)
-    for (i, add, rem) in moves:
-        if rem is not None:
-            parts[i].discard(rem)
-        parts[i].add(add)
+    # each removed element is the added element of the move before it
+    for (i, add, _) in moves:
         part_of[add] = i
-    return True
 
 
 def rank_union(oracles: Sequence[IndependenceOracle], ground: Iterable[int]) -> int:

@@ -335,13 +335,13 @@ def k_connected_orientation(
         return oriented, OrientationReport(1, None, None, None, None, verified, seed)
 
     d = 4 * k - 4
-    packing = pack_rigid(graph, d, 2, seed)
-    if not packing.feasible:
-        raise PackingInfeasibleError(packing)
     if deficit_vertices is not None:
         deficits = deficits_from_vertices(graph.n, d, deficit_vertices)
     else:
         deficits = spread_deficits(graph.n, d)
+    packing = pack_rigid(graph, d, 2, seed)
+    if not packing.feasible:
+        raise PackingInfeasibleError(packing)
 
     heads = [max(u, v) for u, v in graph.edges]        # leftovers: low -> high
     base_edges = [sorted(p) for p in packing.parts]

@@ -164,13 +164,6 @@ class RigidityPartitionState:
         width = min(oracle.graph.m, complete_rank(oracle.graph.n, oracle.d))
         self.basis = RowBasis(oracle.ncols, track_width=width)
 
-    @property
-    def version(self) -> int:
-        return self.basis.version
-
-    def members(self) -> set[int]:
-        return set(self.basis.index_of)
-
     def insert(self, edge_id: int) -> bool:
         return self.basis.insert(self.oracle.row(edge_id), edge_id)
 

@@ -107,6 +107,8 @@ class IndependentSubgraphSample:
 def _sample_with_orientation(
     graph: Graph, oriented: Digraph, d: int, t: int, stream: SeededStream
 ) -> IndependentSubgraphSample:
+    if d < 1 or t < 1:
+        raise ValueError("d and t must be at least 1")
     rng = stream.rng()
     core = sorted(v for v in range(graph.n) if rng.getrandbits(1))
     core_set = set(core)
@@ -164,8 +166,6 @@ def sample_independent_subgraph(
     graph: Graph, d: int, t: int, stream: SeededStream
 ) -> IndependentSubgraphSample:
     """One seeded run of the half-sample construction (see module docstring)."""
-    if d < 1 or t < 1:
-        raise ValueError("d and t must be at least 1")
     return _sample_with_orientation(graph, balanced_orientation(graph), d, t, stream)
 
 

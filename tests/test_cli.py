@@ -142,6 +142,14 @@ def test_parse_error_exit_2(capsys, monkeypatch):
         (["rank", "--d", "2", "--t", "-1", "--graphic"], write_graph(complete_graph(5)),
          "t must be at least 1"),
         (["gen", "gnp", "--n", "5", "--p", "2"], "", "probability"),
+        (["simulate", "e0", "--d", "0", "--t", "1", "--trials", "2"],
+         write_graph(complete_graph(4)), "d and t must be at least 1"),
+        (["simulate", "e0", "--d", "1", "--t", "0", "--trials", "2"],
+         write_graph(complete_graph(4)), "d and t must be at least 1"),
+        # the deficit set is checked before the packing runs, even on an
+        # infeasible host
+        (["orient", "--k", "2", "--R", "0,1"], write_graph(complete_graph(9)),
+         "deficit set must hold"),
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         assert main(argv) == 2

@@ -179,13 +179,6 @@ class ScriptedState:
         self.after_remove = False
         self.replaying = fresh
 
-    @property
-    def version(self):
-        return self.inner.version
-
-    def members(self):
-        return self.inner.members()
-
     def insert(self, edge_id):
         applying, self.after_remove = self.after_remove, False
         replaying, self.replaying = self.replaying, False
@@ -239,3 +232,69 @@ def test_partition_rejects_inconsistent_replay():
     with pytest.raises(OracleInconsistencyError, match="rejected by reseeded oracle"):
         partition(oracles, range(g.m))
     assert len(log) == 1 and script["replay"] == 0
+
+
+class CountingOracle:
+    """A graphic oracle whose states count the inserts they refuse."""
+
+    def __init__(self, graph, refused):
+        self.inner, self.refused = GraphicOracle(graph), refused
+
+    def new_state(self):
+        return CountingState(self.inner.new_state(), self.refused)
+
+    def reseeded(self, retry):
+        return self
+
+
+class CountingState:
+    def __init__(self, inner, refused):
+        self.inner, self.refused = inner, refused
+
+    def insert(self, edge_id):
+        ok = self.inner.insert(edge_id)
+        if not ok:
+            self.refused.append(edge_id)
+        return ok
+
+    def circuit(self, edge_id):
+        return self.inner.circuit(edge_id)
+
+    def remove(self, edge_id):
+        self.inner.remove(edge_id)
+
+
+def graphic_union_rank(g, t):
+    """min over F of |E - F| + t (n - c(F)), by enumerating every edge subset F."""
+    # labels[mask]: a component label per vertex of (V, F); rank[mask] = n - c(F)
+    labels = [tuple(range(g.n))]
+    rank = [0]
+    for mask in range(1, 1 << g.m):
+        low = mask & -mask
+        base = labels[mask ^ low]
+        u, v = g.edges[low.bit_length() - 1]
+        a, b = base[u], base[v]
+        if a == b:
+            labels.append(base)
+            rank.append(rank[mask ^ low])
+        else:
+            labels.append(tuple(a if x == b else x for x in base))
+            rank.append(rank[mask ^ low] + 1)
+    return min(g.m - bin(mask).count("1") + t * rank[mask] for mask in range(1 << g.m))
+
+
+def test_partition_matches_union_rank_formula_without_refused_inserts():
+    rng = random.Random(20240)
+    hosts = []
+    while len(hosts) < 40:
+        g = gnp_graph(rng.randint(6, 8), rng.uniform(0.5, 0.9), seed=rng.randrange(10**6))
+        if 0 < g.m <= 12:
+            hosts.append(g)
+    for g in hosts:
+        for t in (2, 3):
+            refused = []
+            result = partition([CountingOracle(g, refused) for _ in range(t)], range(g.m))
+            assert result.total == graphic_union_rank(g, t)
+            # every insert applies a path found on fresh circuits: a stale
+            # memo entry reading "independent" would show as a refused insert
+            assert refused == []
