@@ -57,6 +57,7 @@ from .orientation import (
     OrientationInfeasibleError,
     OrientationReport,
     PackingInfeasibleError,
+    PackingUnverifiedError,
     balanced_orientation,
     deficits_from_vertices,
     hakimi_orientation,

@@ -39,6 +39,7 @@ from .matroid import GraphicOracle, pack_rigid, pack_tree_rigid, rank_union
 from .orientation import (
     OrientationError,
     PackingInfeasibleError,
+    PackingUnverifiedError,
     k_connected_orientation,
 )
 from .rigidity import RigidityOracle
@@ -202,15 +203,15 @@ def _cmd_orient(args) -> int:
         oriented, report = k_connected_orientation(
             graph, args.k, args.seed, deficit_vertices, verify=args.verify
         )
-    except PackingInfeasibleError as exc:
+    except (PackingInfeasibleError, PackingUnverifiedError) as exc:
+        kind = "packing-unverified" if exc.packing.feasible else "packing-deficiency"
         stats = {
             "k": args.k,
             "sizes": list(exc.packing.sizes),
             "targets": list(exc.packing.target_sizes),
             "deficiency": exc.packing.deficiency,
         }
-        print(_report("orientation-failure", args.seed, stats,
-                      [{"kind": "packing-deficiency"}]))
+        print(_report("orientation-failure", args.seed, stats, [{"kind": kind}]))
         return 1
     except OrientationError as exc:
         cert = getattr(exc, "certificate", None)

@@ -41,11 +41,11 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def gnp_graph(n: int, p: float, seed: int = 0, stream: int = 0) -> Graph:
+def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p) with a seeded stream; edge draws in canonical order."""
     if not 0 <= p <= 1:
         raise ValueError("edge probability p must lie in [0, 1]")
-    rng = stream_rng(seed, stream)
+    rng = stream_rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
 

@@ -165,9 +165,6 @@ class VertexOrdering:
     def __len__(self) -> int:
         return len(self.perm)
 
-    def precedes(self, u: int, v: int) -> bool:
-        return self.position[u] < self.position[v]
-
 
 def induced_edge_count(graph: Graph, vertices: Iterable[int]) -> int:
     """Number of edges with both endpoints in the given vertex set."""

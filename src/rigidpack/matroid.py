@@ -11,10 +11,12 @@ canonical edge order and ties break lexicographically, so runs are
 reproducible.  ``partition`` owns the circuit memo: one dict per part,
 cleared whenever a move touches that part.
 
-Rigidity oracles are randomized with one-sided error: a false "dependent"
-verdict can only surface as a swap that breaks a part, which is detected on
-insertion, answered by reseeding the offending oracle, and replayed from
-the last verified partition.
+Each state answers exactly for one fixed matroid; a rigidity state's is the
+linear matroid of its realization, whose "independent" answers are exact
+generically too.  A shortest augmenting path keeps every part independent
+in any matroid (Knuth 1973; Cunningham 1986), so a refused insert on it is
+a kernel fault and raises ``OracleInconsistencyError``.  A short result is
+the only symptom of an unlucky realization.
 """
 
 from __future__ import annotations
@@ -34,17 +36,10 @@ class MatroidState(Protocol):
 
 class IndependenceOracle(Protocol):
     def new_state(self) -> MatroidState: ...
-    def reseeded(self, retry: int) -> "IndependenceOracle":
-        """The oracle to use after the retry-th failed augmentation.
-
-        A randomized oracle draws a realization that neither its own salt
-        nor any other oracle's constructor salt gives.
-        """
-        ...
 
 
 class OracleInconsistencyError(RuntimeError):
-    """An accepted augmentation produced a set the oracle later rejected."""
+    """A state refused an insert on an augmenting path it had admitted."""
 
 
 class GraphicOracle:
@@ -55,9 +50,6 @@ class GraphicOracle:
 
     def new_state(self) -> "ForestState":
         return ForestState(self.graph)
-
-    def reseeded(self, retry: int) -> "GraphicOracle":
-        return self
 
 
 class ForestState:
@@ -121,62 +113,20 @@ class MatroidPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
 
-    @property
-    def uncovered(self) -> frozenset[int]:
-        covered = set()
-        for p in self.parts:
-            covered |= p
-        return self.ground - covered
-
-
-class _Retry(Exception):
-    def __init__(self, oracle_index: int):
-        self.oracle_index = oracle_index
-
 
 def partition(
-    oracles: Sequence[IndependenceOracle],
-    ground: Iterable[int],
-    max_retries: int = 4,
+    oracles: Sequence[IndependenceOracle], ground: Iterable[int]
 ) -> MatroidPartition:
     """Maximum-cardinality partition of the ground set into independent parts."""
-    oracles = list(oracles)
     if not oracles:
         raise ValueError("need at least one oracle")
     order = sorted(set(ground))
     states: list[MatroidState] = [o.new_state() for o in oracles]
-    memos: list[dict[int, set[int] | None]] = [{} for _ in oracles]
+    memos: list[dict[int, set[int] | None]] = [{} for _ in states]
     part_of: dict[int, int] = {}
-    retries = 0
-
-    def rebuild(i: int) -> None:
-        states[i] = oracles[i].new_state()
-        memos[i].clear()
-        for e in sorted(x for x, j in part_of.items() if j == i):
-            if not states[i].insert(e):
-                raise OracleInconsistencyError(
-                    f"verified part {i} rejected by reseeded oracle"
-                )
-
-    idx = 0
-    while idx < len(order):
-        e = order[idx]
-        try:
-            _place(e, states, memos, part_of)
-        except _Retry as sig:
-            retries += 1
-            if retries > max_retries:
-                raise OracleInconsistencyError(
-                    "augmentations kept failing after reseeding"
-                ) from None
-            oracles[sig.oracle_index] = oracles[sig.oracle_index].reseeded(retries)
-            # replay every state from the last verified partition: the failed
-            # application may have touched several parts
-            for i in range(len(states)):
-                rebuild(i)
-            continue
-        idx += 1
-    parts: list[set[int]] = [set() for _ in oracles]
+    for e in order:
+        _place(e, states, memos, part_of)
+    parts: list[set[int]] = [set() for _ in states]
     for x, i in part_of.items():
         parts[i].add(x)
     return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order))
@@ -224,7 +174,7 @@ def _place(e, states, memos, part_of) -> None:
             states[i].remove(rem)
     for (i, add, _) in moves:
         if not states[i].insert(add):
-            raise _Retry(i)
+            raise OracleInconsistencyError(f"part {i} refused element {add} on a path")
     # each removed element is the added element of the move before it
     for (i, add, _) in moves:
         part_of[add] = i
@@ -254,14 +204,14 @@ class PackingResult:
         return sum(self.target_sizes) - sum(self.sizes)
 
 
-def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0,
-               verify: bool = True) -> PackingResult:
+def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
     """Try to pack t edge-disjoint minimally d-rigid spanning subgraphs.
 
     Succeeds exactly when the t-fold rigidity union has full rank (each
     part then has d*n - (d+1 choose 2) edges and is a base).  No
     connectivity precondition is checked: the attempt itself is the test,
-    and failure reports the achieved partition.
+    and failure reports the achieved partition.  A feasible packing is
+    re-checked under fresh realizations, and ``verified`` holds the outcome.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
@@ -271,19 +221,18 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0,
     result = partition(oracles, range(graph.m))
     target = complete_rank(graph.n, d)
     feasible = all(len(p) == target for p in result.parts)
-    verified = False
-    if verify and feasible:
-        verified = all(o.verify_independent(p) for o, p in zip(oracles, result.parts))
+    checks = zip(oracles, result.parts)
+    verified = feasible and all(o.verify_independent(p) for o, p in checks)
     return PackingResult(result.parts, (target,) * t, feasible, verified, seed)
 
 
-def pack_tree_rigid(graph: Graph, d: int, seed: int = 0,
-                    verify: bool = True) -> PackingResult:
+def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
     """Split the graph into a spanning tree plus a minimally d-rigid subgraph.
 
     parts[0] is the tree candidate, parts[1] the rigid one; feasible exactly
     when the union of the graphic and rigidity matroids has rank
-    (n - 1) + (d*n - (d+1 choose 2)).
+    (n - 1) + (d*n - (d+1 choose 2)).  A feasible split is re-checked as
+    ``pack_rigid``'s is.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
@@ -291,8 +240,6 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0,
     result = partition(oracles, range(graph.m))
     targets = (graph.n - 1, complete_rank(graph.n, d))
     feasible = all(len(p) == t for p, t in zip(result.parts, targets))
-    verified = False
-    if verify and feasible:
-        verified = (independent_d1(graph, result.parts[0])
-                    and oracles[1].verify_independent(result.parts[1]))
+    verified = (feasible and independent_d1(graph, result.parts[0])
+                and oracles[1].verify_independent(result.parts[1]))
     return PackingResult(result.parts, targets, feasible, verified, seed)

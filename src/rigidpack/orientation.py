@@ -79,6 +79,14 @@ class PackingInfeasibleError(OrientationError):
         )
 
 
+class PackingUnverifiedError(OrientationError):
+    """A full packing failed its fresh-realization re-check: a kernel fault."""
+
+    def __init__(self, packing: PackingResult):
+        self.packing = packing
+        super().__init__(f"packing of sizes {packing.sizes} failed its re-check")
+
+
 class OrientationInfeasibleError(OrientationError):
     """Degree-specified orientation failed; reason distinguishes bad input."""
 
@@ -324,7 +332,8 @@ def k_connected_orientation(
     deficit in-degree spec, the other to the same spec with all arcs then
     reversed, and the leftovers low to high.  Raises
     PackingInfeasibleError (with the achieved partition) when the packing
-    falls short; the orientation itself is returned even when verification
+    falls short, and PackingUnverifiedError when a full packing fails its
+    re-check; the orientation itself is returned even when verification
     is requested and fails, with ``verified`` False in the report.
     """
     if k < 1:
@@ -342,6 +351,8 @@ def k_connected_orientation(
     packing = pack_rigid(graph, d, 2, seed)
     if not packing.feasible:
         raise PackingInfeasibleError(packing)
+    if not packing.verified:
+        raise PackingUnverifiedError(packing)
 
     heads = [max(u, v) for u, v in graph.edges]        # leftovers: low -> high
     base_edges = [sorted(p) for p in packing.parts]

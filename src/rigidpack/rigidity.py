@@ -2,12 +2,13 @@
 
 A generic realization is emulated by drawing vertex coordinates uniformly
 from GF(PRIME); the rigidity matrix row of edge uv carries coords(u) -
-coords(v) in u's d columns and the negation in v's.  Ranks computed from a
-random specialization can only come out *lower* than the generic rank, and
-do so with probability at most (rows)/PRIME per query, so an "independent"
-answer is always trustworthy while a "dependent" answer carries a ~2^-40
-one-sided error.  Delivered objects are therefore re-checked under a fresh
-realization (see ``verify_independent``).
+coords(v) in u's d columns and the negation in v's.  Each oracle answers
+exactly for the linear matroid of its realization, whose ranks can only
+come out *lower* than the generic ones, with probability at most
+(rows)/PRIME per query.  So "independent" answers are exact, and a short
+result is the only symptom of an unlucky realization.  Delivered objects
+are re-checked under a fresh realization (``verify_independent``), which
+catches kernel faults.
 
 Exact combinatorial oracles are provided for cross-validation where they
 exist: d=1 (forests, union-find) and d=2 (the (2,3)-pebble game).
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .graph import Graph
 from .linalg import PRIME, RowBasis
-from .stream import SeededStream, stream_rng
+from .stream import stream_rng
 
 
 def complete_rank(n: int, d: int) -> int:
@@ -123,22 +124,11 @@ class RigidityOracle:
                 kept.append(e)
         return kept
 
-    def reseeded(self, retry: int) -> "RigidityOracle":
-        """Same graph and dimension under the realization for a retry.
-
-        The salt is the stream of ``SeededStream(seed, salt).child(retry)``,
-        ``salt * 1_000_003 + retry + 1``: distinct for each (salt, retry),
-        and for a salt of 1 or more and a small retry count equal to no
-        salt the package passes to a constructor.
-        """
-        fresh = SeededStream(self.seed, self.salt).child(retry).stream
-        return RigidityOracle(self.graph, self.d, self.seed, fresh)
-
     def verify_independent(self, edge_ids: Iterable[int]) -> bool:
         """Re-check independence under a fresh realization (cuts one-sided error).
 
         The fresh salt is ``salt + 2^20``; for the salts the package uses,
-        no constructor or retry draws it.
+        no constructor draws it.
         """
         oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + (1 << 20))
         return oracle.is_independent(edge_ids)

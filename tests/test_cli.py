@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from rigidpack.cli import main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
+from rigidpack.rigidity import RigidityOracle
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -107,6 +109,22 @@ def test_orient_packing_failure(capsys, monkeypatch):
     assert code == 1
     report = last_json(out)
     assert report["object"] == "orientation-failure"
+    assert report["certificates"] == [{"kind": "packing-deficiency"}]
+
+
+def test_orient_unverified_packing_fails(capsys, monkeypatch):
+    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, ids: False)
+    text = write_graph(complete_graph(17))
+    code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "4", "--t", "2"], stdin=text)
+    assert code == 1
+    assert last_json(out)["stats"]["feasible"] is True
+    code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2"], stdin=text)
+    assert code == 1
+    report = last_json(out)
+    assert report["object"] == "orientation-failure"
+    assert report["certificates"] == [{"kind": "packing-unverified"}]
+    assert report["stats"]["deficiency"] == 0
+    assert out.count("\n") == 1             # the report line only: no orientation
 
 
 def test_orient_k1_bridge(capsys, monkeypatch):
@@ -228,3 +246,17 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert read_graph(target.read_text()).m == 10
     assert json.loads(out.strip())["stats"]["m"] == 10
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["pack", "--d", "4", "--t", "2", "--seed", "3"],
+     "9049db1a908bdb5b8fff324f9065d8236cc43d5df18e3576aacb536dca258378"),
+    (["orient", "--k", "2", "--verify", "--seed", "3"],
+     "99c8bcab1037503d6b9e87781e389233160ef32abcdcf22ce79525ac45e6a62e"),
+])
+def test_seeded_output_is_pinned(capsys, monkeypatch, argv, digest):
+    # the byte-identical contract, across runs and across Python versions
+    _, host = run_cli(capsys, monkeypatch, ["gen", "complete", "--n", "17"])
+    code, out = run_cli(capsys, monkeypatch, argv, stdin=host)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

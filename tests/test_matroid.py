@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from rigidpack.graph import Graph
 from rigidpack.matroid import (
     GraphicOracle,
     OracleInconsistencyError,
@@ -12,7 +13,7 @@ from rigidpack.matroid import (
     partition,
     rank_union,
 )
-from rigidpack.rigidity import RigidityOracle, complete_rank, independent_d1
+from rigidpack.rigidity import Realization, RigidityOracle, complete_rank, independent_d1
 
 
 def two_forest_best_total(g):
@@ -149,44 +150,27 @@ def test_partition_ground_subset():
     assert all(p <= ground for p in result.parts)
 
 
-class ScriptedOracle:
-    """A rigidity oracle whose states reject scripted inserts.
+class RefusingOracle:
+    """A rigidity oracle whose states refuse the first insert after a removal.
 
-    ``script["apply"]`` counts inserts still to be rejected while an
-    augmenting path is applied (the first insert into a state after a
-    removal); ``script["replay"]`` counts first inserts still to be rejected
-    in states of reseeded oracles, i.e. while ``partition`` replays the
-    verified parts. Reseeded oracles share the script and append their salt
-    to ``log``.
+    That insert is a swap on an augmenting path. ``built`` lists the oracle
+    once per state it builds.
     """
 
-    def __init__(self, inner, script, log, reseeded=False):
-        self.inner, self.script, self.log, self.fresh = inner, script, log, reseeded
+    def __init__(self, inner, built):
+        self.inner, self.built = inner, built
 
     def new_state(self):
-        self.script["states"] += 1
-        return ScriptedState(self.inner.new_state(), self.script, self.fresh)
-
-    def reseeded(self, retry):
-        oracle = ScriptedOracle(self.inner.reseeded(retry), self.script, self.log, True)
-        self.log.append(oracle.inner.salt)
-        return oracle
+        self.built.append(self)
+        return RefusingState(self.inner.new_state())
 
 
-class ScriptedState:
-    def __init__(self, inner, script, fresh):
-        self.inner, self.script = inner, script
-        self.after_remove = False
-        self.replaying = fresh
+class RefusingState:
+    def __init__(self, inner):
+        self.inner, self.after_remove = inner, False
 
     def insert(self, edge_id):
-        applying, self.after_remove = self.after_remove, False
-        replaying, self.replaying = self.replaying, False
-        for key, armed in (("apply", applying), ("replay", replaying)):
-            if armed and self.script[key]:
-                self.script[key] -= 1
-                return False
-        return self.inner.insert(edge_id)
+        return not self.after_remove and self.inner.insert(edge_id)
 
     def circuit(self, edge_id):
         return self.inner.circuit(edge_id)
@@ -196,55 +180,24 @@ class ScriptedState:
         self.inner.remove(edge_id)
 
 
-def scripted_k8(apply, replay=0):
+def test_partition_raises_on_a_refused_path_insert():
     g = complete_graph(8)
-    script = {"apply": apply, "replay": replay, "states": 0}
-    log = []
-    oracles = [ScriptedOracle(RigidityOracle(g, 2, salt=i + 1), script, log) for i in range(2)]
-    return g, oracles, script, log
-
-
-def test_partition_recovers_from_rejected_augmentations():
-    g, oracles, script, log = scripted_k8(apply=2)
-    result = partition(oracles, range(g.m))
-    assert script["apply"] == 0 and len(log) == 2
-    # every retry replays both parts into fresh states
-    assert script["states"] == 2 + 2 * len(log)
-    assert result.total == 26
-    for part in result.parts:
-        assert RigidityOracle(g, 2, salt=99).is_independent(part)
-    in_use = {1, 2}
-    for salt in log:
-        assert salt not in in_use
-        in_use.add(salt)
-
-
-def test_partition_gives_up_after_max_retries():
-    g, oracles, script, log = scripted_k8(apply=3)
-    with pytest.raises(OracleInconsistencyError, match="kept failing"):
-        partition(oracles, range(g.m), max_retries=2)
-    assert len(log) == 2 and script["apply"] == 0
-    assert len({1, 2, *log}) == 4
-
-
-def test_partition_rejects_inconsistent_replay():
-    g, oracles, script, log = scripted_k8(apply=1, replay=1)
-    with pytest.raises(OracleInconsistencyError, match="rejected by reseeded oracle"):
+    built = []
+    oracles = [RefusingOracle(RigidityOracle(g, 2, salt=i + 1), built) for i in range(2)]
+    with pytest.raises(OracleInconsistencyError, match="refused element"):
         partition(oracles, range(g.m))
-    assert len(log) == 1 and script["replay"] == 0
+    # detected, not recovered from: no state is rebuilt or replayed
+    assert built == oracles
 
 
 class CountingOracle:
-    """A graphic oracle whose states count the inserts they refuse."""
+    """An oracle whose states record every insert they refuse."""
 
-    def __init__(self, graph, refused):
-        self.inner, self.refused = GraphicOracle(graph), refused
+    def __init__(self, inner, refused):
+        self.inner, self.refused = inner, refused
 
     def new_state(self):
         return CountingState(self.inner.new_state(), self.refused)
-
-    def reseeded(self, retry):
-        return self
 
 
 class CountingState:
@@ -283,6 +236,14 @@ def graphic_union_rank(g, t):
     return min(g.m - bin(mask).count("1") + t * rank[mask] for mask in range(1 << g.m))
 
 
+def colliding_d1_oracle(g, rng):
+    """R_1 over coordinates from {0, 1, 2}: an edge whose ends collide has a zero row."""
+    oracle = RigidityOracle(g, 1)
+    coords = tuple((rng.randrange(3),) for _ in range(g.n))
+    oracle.realization = Realization(1, coords, oracle.seed, oracle.salt)
+    return oracle
+
+
 def test_partition_matches_union_rank_formula_without_refused_inserts():
     rng = random.Random(20240)
     hosts = []
@@ -290,11 +251,25 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
         g = gnp_graph(rng.randint(6, 8), rng.uniform(0.5, 0.9), seed=rng.randrange(10**6))
         if 0 < g.m <= 12:
             hosts.append(g)
+    zero_rows = 0
     for g in hosts:
+        colliding = colliding_d1_oracle(g, rng)
+        live = Graph(g.n, [g.edges[e] for e in range(g.m) if any(colliding.row(e))])
+        zero_rows += g.m - live.m
         for t in (2, 3):
-            refused = []
-            result = partition([CountingOracle(g, refused) for _ in range(t)], range(g.m))
-            assert result.total == graphic_union_rank(g, t)
-            # every insert applies a path found on fresh circuits: a stale
-            # memo entry reading "independent" would show as a refused insert
-            assert refused == []
+            generic = graphic_union_rank(g, t)
+            cases = [
+                ([GraphicOracle(g)] * t, generic),
+                ([RigidityOracle(g, 1, salt=i + 1) for i in range(t)], generic),
+                # a zero row is a false "dependent" answer: the total comes out
+                # short, and every part stays independent
+                ([colliding] * t, graphic_union_rank(live, t)),
+            ]
+            for oracles, total in cases:
+                refused = []
+                result = partition([CountingOracle(o, refused) for o in oracles], range(g.m))
+                assert result.total == total
+                # every insert applies a path found on fresh circuits: a stale
+                # memo entry reading "independent" would show as a refused insert
+                assert refused == []
+    assert zero_rows > 0

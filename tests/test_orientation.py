@@ -8,6 +8,7 @@ from rigidpack.orientation import (
     DegreeSpec,
     OrientationCertificate,
     OrientationInfeasibleError,
+    PackingUnverifiedError,
     balanced_orientation,
     deficits_from_vertices,
     hakimi_orientation,
@@ -206,6 +207,13 @@ def test_robbins_random_bridgeless():
 def test_k1_orientation_pipeline():
     d, report = k_connected_orientation(complete_graph(3), 1, verify=True)
     assert report.verified
+
+
+def test_unverified_packing_raises(monkeypatch):
+    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, ids: False)
+    with pytest.raises(PackingUnverifiedError) as info:
+        k_connected_orientation(complete_graph(17), 2)
+    assert info.value.packing.feasible and not info.value.packing.verified
 
 
 def test_reversed_orientation_meets_outdegree_spec():
