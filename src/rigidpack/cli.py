@@ -9,7 +9,10 @@ straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
 feasibility failure with the certificate in the report, 2 usage or parse
-errors.
+errors.  A kernel fault detected inside a matroid partition (``pack``,
+``kriesell``, ``rank --t``, ``orient``, ``simulate gpd --check``) exits 1
+with a ``partition-failure`` report whose certificate kind is
+``kernel-fault``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ from .graph import (
     write_digraph,
     write_graph,
 )
-from .matroid import GraphicOracle, pack_rigid, pack_tree_rigid, rank_union
+from .matroid import (
+    GraphicOracle,
+    OracleInconsistencyError,
+    pack_rigid,
+    pack_tree_rigid,
+    rank_union,
+)
 from .orientation import (
     OrientationError,
     PackingInfeasibleError,
@@ -410,6 +419,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OracleInconsistencyError as exc:
+        certs = [{"kind": "kernel-fault", "detail": str(exc)}]
+        print(_report("partition-failure", args.seed, {}, certs))
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

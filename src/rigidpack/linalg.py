@@ -36,6 +36,13 @@ every slot, applied through per-slot masks until no slot reaches 2^61.
   is removed, so ``track_width`` has to cover the live members (at most the
   rank), not every member id.  Removal is a downdate: one row holding the
   member's slot clears that slot from every other row and is dropped.
+* **One reduction per placed row.**  A ``circuit`` query that finds its
+  row independent saves the reduced row and the pivots it hit.  The next
+  ``insert`` of the same row object (the apply step of an augmenting path)
+  uses them instead of reducing the row again.  Every ``insert`` and
+  ``remove`` drops the saved reduction, so it is never used against a
+  changed basis; other queries only canonicalise kept rows, which changes
+  no value mod PRIME.  Rows are treated as immutable.
 * **Residues.**  ``residue`` returns a reduced row whose entries depend on
   the pivots chosen; only whether it is zero carries meaning.
 """
@@ -65,7 +72,8 @@ class RowBasis:
     """
 
     __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
-                 "index_of", "slot_member", "free_slots", "_ones", "_low", "_high")
+                 "index_of", "slot_member", "free_slots", "_saved", "_ones", "_low",
+                 "_high")
 
     def __init__(self, ncols: int, track_width: int = 0):
         self.ncols = ncols
@@ -77,6 +85,9 @@ class RowBasis:
         self.index_of: dict[int, int] = {}
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
+        # (row, reduced row, hits) of the last circuit query that found its
+        # row independent; dropped by every insert and remove
+        self._saved: tuple[Sequence[int], int, list[tuple[int, int]]] | None = None
         # per-slot masks, wide enough for the structural and the tracking part
         self._ones = int.from_bytes(
             (b"\x01" + bytes(_SLOT_BYTES - 1)) * max(ncols, track_width), "little")
@@ -126,14 +137,20 @@ class RowBasis:
     def insert(self, entries: Sequence[int], member: int | None = None) -> bool:
         """Reduce and keep the row if independent; returns False on dependence.
 
-        A tracking basis needs the member id of every row it is given.
+        A tracking basis needs the member id of every row it is given.  The
+        reduction saved by the last ``circuit`` query is reused when that
+        query was for this same row object.
         """
         if self.track_width and member is None:
             raise ValueError("a tracking basis needs a member id for each row")
         if not self.track_width and member is not None:
             raise ValueError("member ids need track_width > 0")
-        work, hits = self._reduce(entries)
-        work = self._canonical(work)
+        saved, self._saved = self._saved, None
+        if saved is not None and saved[0] is entries:
+            _, work, hits = saved
+        else:
+            work, hits = self._reduce(entries)
+            work = self._canonical(work)
         if not work:
             return False
         pivot = ((work & -work).bit_length() - 1) // SLOT_BITS
@@ -182,7 +199,9 @@ class RowBasis:
         if not self.track_width:
             raise ValueError("circuit queries need track_width > 0")
         work, hits = self._reduce(entries)
-        if self._canonical(work):
+        work = self._canonical(work)
+        if work:
+            self._saved = (entries, work, hits)
             return None
         track = 0
         for p, coef in hits:
@@ -204,6 +223,7 @@ class RowBasis:
         """
         if not self.track_width:
             raise ValueError("removal needs track_width > 0")
+        self._saved = None
         slot = self.index_of.pop(member)
         shift = SLOT_BITS * slot
         holders = []

@@ -11,6 +11,20 @@ canonical edge order and ties break lexicographically, so runs are
 reproducible.  ``partition`` owns the circuit memo: one dict per part,
 cleared whenever a move touches that part.
 
+``partition`` also owns the dead set.  A search from e that finds no path
+labels a set S, and every element of S is dead for the rest of the run:
+each part's members in S span S (an element of S outside part i has a
+circuit in part i, else the search would have found a sink, and that
+circuit was labelled), so every exchange arc out of S stays inside S.
+Later paths only swap elements outside S, so part i's members in S do not
+change and S stays closed; no augmenting path can ever pass through it
+(Knuth, "Matroid partitioning", J. Res. NBS 1973; Cunningham, SICOMP
+1986).  The search therefore never labels a dead element.  Dead elements
+only ever label other dead ones and never reach a sink, so every label
+that matters, every chosen shortest path and every part come out as they
+would without the set.  It is returned as ``MatroidPartition.dead``; every
+uncovered element is in it.
+
 Each state answers exactly for one fixed matroid; a rigidity state's is the
 linear matroid of its realization, whose "independent" answers are exact
 generically too.  A shortest augmenting path keeps every part independent
@@ -100,10 +114,15 @@ class ForestState:
 
 @dataclass(frozen=True)
 class MatroidPartition:
-    """Disjoint family, one independent set per oracle."""
+    """Disjoint family, one independent set per oracle.
+
+    ``dead`` holds the elements labelled by failed augmenting searches: each
+    part's members in it span it, and it holds every uncovered element.
+    """
 
     parts: tuple[frozenset[int], ...]
     ground: frozenset[int]
+    dead: frozenset[int]
 
     @property
     def total(self) -> int:
@@ -124,17 +143,20 @@ def partition(
     states: list[MatroidState] = [o.new_state() for o in oracles]
     memos: list[dict[int, set[int] | None]] = [{} for _ in states]
     part_of: dict[int, int] = {}
+    dead: set[int] = set()
     for e in order:
-        _place(e, states, memos, part_of)
+        _place(e, states, memos, part_of, dead)
     parts: list[set[int]] = [set() for _ in states]
     for x, i in part_of.items():
         parts[i].add(x)
-    return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order))
+    return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order),
+                            frozenset(dead))
 
 
-def _place(e, states, memos, part_of) -> None:
+def _place(e, states, memos, part_of, dead) -> None:
     # breadth-first augmenting search, lexicographic within layers; a part
-    # whose circuit of e is None takes e directly (the path of length 0)
+    # whose circuit of e is None takes e directly (the path of length 0).
+    # A dead element is never labelled: no augmenting path passes through it.
     prev: dict[int, tuple[int, int]] = {e: (-1, -1)}
     frontier = [e]
     found: tuple[int, int] | None = None
@@ -151,13 +173,14 @@ def _place(e, states, memos, part_of) -> None:
                     found = (x, i)
                     break
                 for y in circ:
-                    if y not in prev:
+                    if y not in prev and y not in dead:
                         prev[y] = (x, i)
                         nxt.append(y)
             if found:
                 break
         frontier = sorted(nxt)
     if found is None:
+        dead.update(prev)
         return
 
     x, sink = found

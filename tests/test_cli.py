@@ -7,7 +7,8 @@ import pytest
 from rigidpack.cli import main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
-from rigidpack.rigidity import RigidityOracle
+from rigidpack.matroid import ForestState
+from rigidpack.rigidity import RigidityOracle, RigidityPartitionState
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -125,6 +126,43 @@ def test_orient_unverified_packing_fails(capsys, monkeypatch):
     assert report["certificates"] == [{"kind": "packing-unverified"}]
     assert report["stats"]["deficiency"] == 0
     assert out.count("\n") == 1             # the report line only: no orientation
+
+
+def refuse_inserts_after_removal(monkeypatch):
+    """Make every partition state refuse each insert once it has removed a member.
+
+    The first such insert is a swap on an augmenting path: a kernel fault.
+    """
+    removed = set()
+    for state in (RigidityPartitionState, ForestState):
+        def insert(self, edge_id, inner=state.insert):
+            return id(self) not in removed and inner(self, edge_id)
+
+        def remove(self, edge_id, inner=state.remove):
+            removed.add(id(self))
+            inner(self, edge_id)
+
+        monkeypatch.setattr(state, "insert", insert)
+        monkeypatch.setattr(state, "remove", remove)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--d", "2", "--t", "2"],
+    ["kriesell", "--d", "2"],
+    ["rank", "--d", "2", "--t", "2"],
+    ["orient", "--k", "2"],
+])
+def test_kernel_fault_is_a_report_not_a_traceback(capsys, monkeypatch, argv):
+    refuse_inserts_after_removal(monkeypatch)
+    text = write_graph(complete_graph(10))
+    code, out = run_cli(capsys, monkeypatch, argv, stdin=text)
+    assert code == 1
+    assert out.count("\n") == 1             # the report line only: no object
+    report = last_json(out)
+    assert report["object"] == "partition-failure"
+    [cert] = report["certificates"]
+    assert cert["kind"] == "kernel-fault"
+    assert "refused element" in cert["detail"]
 
 
 def test_orient_k1_bridge(capsys, monkeypatch):
@@ -248,15 +286,25 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     assert json.loads(out.strip())["stats"]["m"] == 10
 
 
+K17 = ["gen", "complete", "--n", "17"]
+# 229 edges, of which the packing places 114: the other 115 searches fail, so
+# the dead set prunes most of the later ones
+GNP30 = ["gen", "gnp", "--n", "30", "--p", "0.5", "--seed", "4"]
+
+
 @pytest.mark.parametrize("argv,digest", [
-    (["pack", "--d", "4", "--t", "2", "--seed", "3"],
+    ((K17, ["pack", "--d", "4", "--t", "2", "--seed", "3"]),
      "9049db1a908bdb5b8fff324f9065d8236cc43d5df18e3576aacb536dca258378"),
-    (["orient", "--k", "2", "--verify", "--seed", "3"],
+    ((K17, ["orient", "--k", "2", "--verify", "--seed", "3"]),
      "99c8bcab1037503d6b9e87781e389233160ef32abcdcf22ce79525ac45e6a62e"),
+    ((GNP30, ["pack", "--d", "2", "--t", "2", "--seed", "5"]),
+     "631996ace70e0398c41afc73ea1fd69ff37d453e761fd33325214095ecbc387a"),
 ])
 def test_seeded_output_is_pinned(capsys, monkeypatch, argv, digest):
-    # the byte-identical contract, across runs and across Python versions
-    _, host = run_cli(capsys, monkeypatch, ["gen", "complete", "--n", "17"])
-    code, out = run_cli(capsys, monkeypatch, argv, stdin=host)
+    # the byte-identical contract, across runs and across Python versions;
+    # argv is the host generator's command line, then the command's
+    gen_argv, command_argv = argv
+    _, host = run_cli(capsys, monkeypatch, gen_argv)
+    code, out = run_cli(capsys, monkeypatch, command_argv, stdin=host)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

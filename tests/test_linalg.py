@@ -226,20 +226,41 @@ def test_row_basis_differential(seed, monkeypatch):
     def no_insert(*args, **kwargs):
         raise AssertionError("remove re-inserted a row")
 
+    def remove(victim):
+        with monkeypatch.context() as patched:
+            patched.setattr(RowBasis, "insert", no_insert)
+            basis.remove(victim)
+        del live[victim]
+
+    def insert(m):
+        kept = basis.insert(raw[m], m)
+        assert kept == (rank_mod_p(list(live.values()) + [raw[m]]) > len(live))
+        if kept:
+            live[m] = raw[m]
+
     for _ in range(160):
         op = rng.random()
-        if live and op < 0.25:
-            victim = rng.choice(sorted(live))
-            with monkeypatch.context() as patched:
-                patched.setattr(RowBasis, "insert", no_insert)
-                basis.remove(victim)
-            del live[victim]
-        elif op < 0.65:
+        if live and op < 0.2:
+            remove(rng.choice(sorted(live)))
+        elif op < 0.5:
+            insert(rng.choice([m for m in range(len(raw)) if m not in live]))
+        elif op < 0.75:
+            # a query that finds its row independent saves the reduction for
+            # an insert of the same row; any insert or remove must drop it
             m = rng.choice([m for m in range(len(raw)) if m not in live])
-            kept = basis.insert(raw[m], m)
-            assert kept == (rank_mod_p(list(live.values()) + [raw[m]]) > len(live))
-            if kept:
-                live[m] = raw[m]
+            circ = basis.circuit(raw[m])
+            assert circ == brute_circuit(live, raw[m])
+            if circ is None:
+                way = rng.randrange(3)
+                if way == 1:
+                    # a different row first, one that makes the queried row dependent
+                    x = rng.randrange(2, PRIME)
+                    raw.append([x * v % PRIME for v in raw[m]])
+                    insert(len(raw) - 1)
+                elif way == 2 and live:
+                    remove(rng.choice(sorted(live)))
+                insert(m)
+                assert basis.circuit(raw[m]) == brute_circuit(live, raw[m])
         else:
             if live and rng.random() < 0.5:
                 # a combination of live rows, so the query is dependent

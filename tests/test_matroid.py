@@ -191,18 +191,19 @@ def test_partition_raises_on_a_refused_path_insert():
 
 
 class CountingOracle:
-    """An oracle whose states record every insert they refuse."""
+    """An oracle whose states record every insert they refuse and every circuit query."""
 
-    def __init__(self, inner, refused):
+    def __init__(self, inner, refused, queried=None):
         self.inner, self.refused = inner, refused
+        self.queried = [] if queried is None else queried
 
     def new_state(self):
-        return CountingState(self.inner.new_state(), self.refused)
+        return CountingState(self.inner.new_state(), self.refused, self.queried)
 
 
 class CountingState:
-    def __init__(self, inner, refused):
-        self.inner, self.refused = inner, refused
+    def __init__(self, inner, refused, queried):
+        self.inner, self.refused, self.queried = inner, refused, queried
 
     def insert(self, edge_id):
         ok = self.inner.insert(edge_id)
@@ -211,6 +212,7 @@ class CountingState:
         return ok
 
     def circuit(self, edge_id):
+        self.queried.append(edge_id)
         return self.inner.circuit(edge_id)
 
     def remove(self, edge_id):
@@ -244,6 +246,23 @@ def colliding_d1_oracle(g, rng):
     return oracle
 
 
+def assert_dead_set_closed(oracles, result):
+    """Every uncovered element is dead, and each part's dead members span the dead set.
+
+    For a dead x and a part i not holding x, part i's circuit of x exists
+    and lies inside the dead set: no exchange arc leaves it.
+    """
+    covered = frozenset().union(*result.parts)
+    assert result.ground - covered <= result.dead <= result.ground
+    for oracle, part in zip(oracles, result.parts):
+        state = oracle.new_state()
+        for y in sorted(part):
+            assert state.insert(y)
+        for x in sorted(result.dead - part):
+            circ = state.circuit(x)
+            assert circ is not None and circ <= result.dead
+
+
 def test_partition_matches_union_rank_formula_without_refused_inserts():
     rng = random.Random(20240)
     hosts = []
@@ -272,4 +291,18 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
                 # every insert applies a path found on fresh circuits: a stale
                 # memo entry reading "independent" would show as a refused insert
                 assert refused == []
+                assert_dead_set_closed(oracles, result)
     assert zero_rows > 0
+
+
+def test_dead_set_prunes_circuit_queries():
+    # 229 edges, 114 placed: 115 searches fail, and the elements they label
+    # are never queried again.  Without the dead set this partition makes
+    # 814 circuit queries.
+    g = gnp_graph(30, 0.5, seed=4)
+    queried = []
+    oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
+    result = partition([CountingOracle(o, [], queried) for o in oracles], range(g.m))
+    assert result.total == 2 * complete_rank(30, 2) == 114
+    assert len(queried) == 514 < 814
+    assert_dead_set_closed(oracles, result)
