@@ -163,15 +163,12 @@ def _cmd_rank(args) -> int:
         raise ValueError("t must be at least 1")
     graph = read_graph(_read_input(args))
     ground = range(graph.m)
+    oracle = RigidityOracle(graph, args.d, args.seed, salt=1)
     if args.t == 1 and not args.graphic:
-        value = RigidityOracle(graph, args.d, args.seed, salt=1).rank(ground)
+        value = oracle.rank(ground)
     else:
-        oracles: list = [
-            RigidityOracle(graph, args.d, args.seed, salt=i + 1) for i in range(args.t)
-        ]
-        if args.graphic:
-            oracles.insert(0, GraphicOracle(graph))
-        value = rank_union(oracles, ground)
+        graphic = [GraphicOracle(graph)] if args.graphic else []
+        value = rank_union(graphic + [oracle] * args.t, ground)
     print(value)
     return 0
 

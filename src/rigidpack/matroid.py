@@ -136,7 +136,10 @@ class MatroidPartition:
 def partition(
     oracles: Sequence[IndependenceOracle], ground: Iterable[int]
 ) -> MatroidPartition:
-    """Maximum-cardinality partition of the ground set into independent parts."""
+    """Maximum-cardinality partition of the ground set into independent parts.
+
+    An oracle listed several times serves several parts, one state each.
+    """
     if not oracles:
         raise ValueError("need at least one oracle")
     order = sorted(set(ground))
@@ -233,19 +236,19 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
     Succeeds exactly when the t-fold rigidity union has full rank (each
     part then has d*n - (d+1 choose 2) edges and is a base).  No
     connectivity precondition is checked: the attempt itself is the test,
-    and failure reports the achieved partition.  A feasible packing is
-    re-checked under fresh realizations, and ``verified`` holds the outcome.
+    and failure reports the achieved partition.  One realization serves all
+    t parts; a feasible packing is re-checked under one fresh realization,
+    and ``verified`` holds the outcome.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
     if t < 1:
         raise ValueError("t must be at least 1")
-    oracles = [RigidityOracle(graph, d, seed, salt=i + 1) for i in range(t)]
-    result = partition(oracles, range(graph.m))
+    oracle = RigidityOracle(graph, d, seed, salt=1)
+    result = partition([oracle] * t, range(graph.m))
     target = complete_rank(graph.n, d)
     feasible = all(len(p) == target for p in result.parts)
-    checks = zip(oracles, result.parts)
-    verified = feasible and all(o.verify_independent(p) for o, p in checks)
+    verified = feasible and oracle.verify_independent(*result.parts)
     return PackingResult(result.parts, (target,) * t, feasible, verified, seed)
 
 

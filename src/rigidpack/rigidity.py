@@ -6,9 +6,12 @@ coords(v) in u's d columns and the negation in v's.  Each oracle answers
 exactly for the linear matroid of its realization, whose ranks can only
 come out *lower* than the generic ones, with probability at most
 (rows)/PRIME per query.  So "independent" answers are exact, and a short
-result is the only symptom of an unlucky realization.  Delivered objects
-are re-checked under a fresh realization (``verify_independent``), which
-catches kernel faults.
+result is the only symptom of an unlucky realization.  One oracle answers
+for every part of a union of copies of R_d, and a delivered object is
+re-checked, all its parts at once, under one fresh realization
+(``verify_independent``), which catches kernel faults.  The salts drawn
+are 1 for packings and union ranks, 0 for orientation bases and
+``simulate gpd --check``, and ``salt + 2^20`` for re-checks.
 
 Exact combinatorial oracles are provided for cross-validation where they
 exist: d=1 (forests, union-find) and d=2 (the (2,3)-pebble game).
@@ -69,8 +72,8 @@ class RigidityOracle:
     """Rank and independence queries for R_d over one fixed realization.
 
     Queries are pure given (seed, salt).  Each query eliminates afresh; only
-    the matrix row of each edge is cached.  Matroid partition does not ask
-    for ranks: it grows ``RigidityPartitionState`` bases incrementally.
+    the matrix row of each edge is cached.  Matroid partition grows one
+    ``RigidityPartitionState`` basis per part over that shared row cache.
     """
 
     def __init__(self, graph: Graph, d: int, seed: int = 0, salt: int = 0):
@@ -124,14 +127,15 @@ class RigidityOracle:
                 kept.append(e)
         return kept
 
-    def verify_independent(self, edge_ids: Iterable[int]) -> bool:
-        """Re-check independence under a fresh realization (cuts one-sided error).
+    def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
+        """Whether every given set is independent under one fresh realization.
 
-        The fresh salt is ``salt + 2^20``; for the salts the package uses,
-        no constructor draws it.
+        One realization re-checks all the parts of a packing (cuts
+        one-sided error).  Its salt is ``salt + 2^20``; for the salts the
+        package uses, no constructor draws it.
         """
         oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + (1 << 20))
-        return oracle.is_independent(edge_ids)
+        return all(oracle.is_independent(ids) for ids in edge_sets)
 
     def new_state(self) -> "RigidityPartitionState":
         return RigidityPartitionState(self)

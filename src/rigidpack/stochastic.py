@@ -99,7 +99,6 @@ class IndependentSubgraphSample:
     rounds: tuple[frozenset[int], ...]            # edge ids picked per round
     attach: frozenset[int]                        # edges into the core from outside
     edges: frozenset[int]                         # the union
-    orderings: tuple[tuple[int, ...], ...]        # core order used per round
     round_picks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     attach_picks: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -114,7 +113,6 @@ def _sample_with_orientation(
     core_set = set(core)
     used: set[int] = set()
     rounds = []
-    orderings = []
     round_picks = []
     for _ in range(t):
         order = core[:]
@@ -137,7 +135,6 @@ def _sample_with_orientation(
                 picks_here.append((v, chosen))
         used |= picked
         rounds.append(frozenset(picked))
-        orderings.append(tuple(order))
         round_picks.append(tuple(picks_here))
     attach: set[int] = set()
     attach_picks = []
@@ -156,7 +153,6 @@ def _sample_with_orientation(
         tuple(rounds),
         frozenset(attach),
         edges,
-        tuple(orderings),
         tuple(round_picks),
         tuple(attach_picks),
     )
@@ -212,7 +208,6 @@ class BackDegreeSubgraph:
     cap: int
     edges: frozenset[int]
     rules: tuple[str, ...]
-    pairs: tuple[tuple[int, int] | None, ...]
 
 
 def back_degree_subgraph(graph: Graph, ordering: VertexOrdering, cap: int) -> BackDegreeSubgraph:
@@ -221,14 +216,12 @@ def back_degree_subgraph(graph: Graph, ordering: VertexOrdering, cap: int) -> Ba
     if len(ordering) != graph.n:
         raise ValueError("ordering must cover every vertex")
     edges: set[int] = set()
-    rules: list[str] = []
-    pairs: list[tuple[int, int] | None] = []
+    rules: list[str] = [""] * graph.n
     for v in ordering.perm:
         back = sorted(back_neighbors(graph, ordering, v))
         if len(back) <= cap:
             keep = back
-            rules.append("all")
-            pairs.append(None)
+            rules[v] = "all"
         else:
             nonadj = next(
                 (
@@ -241,31 +234,25 @@ def back_degree_subgraph(graph: Graph, ordering: VertexOrdering, cap: int) -> Ba
             )
             if nonadj is None:
                 keep = back[:cap]
-                rules.append("capped")
-                pairs.append(None)
+                rules[v] = "capped"
             else:
                 x, y = nonadj
                 keep = [x, y] + [u for u in back if u != x and u != y][: cap - 1]
-                rules.append("extended")
-                pairs.append(nonadj)
+                rules[v] = "extended"
         edges.update(graph.edge_id(v, u) for u in keep)
-    by_vertex = [None] * graph.n
-    for i, v in enumerate(ordering.perm):
-        by_vertex[v] = (rules[i], pairs[i])
-    return BackDegreeSubgraph(
-        cap,
-        frozenset(edges),
-        tuple(r for r, _ in by_vertex),
-        tuple(p for _, p in by_vertex),
-    )
+    return BackDegreeSubgraph(cap, frozenset(edges), tuple(rules))
 
 
 def check_back_degree_independent(
     graph: Graph, ordering: VertexOrdering, d: int, seed: int = 0
 ) -> bool:
-    """Test the cap d+1 subgraph for independence in graphic + d-rigidity union."""
+    """Test the cap d+1 subgraph for independence in graphic + d-rigidity union.
+
+    The realization draws the root stream of ``seed`` (salt 0), which is
+    no trial's: ``simulate gpd`` hands trial i the child stream i + 1.
+    """
     built = back_degree_subgraph(graph, ordering, d + 1)
-    oracles = [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=17)]
+    oracles = [GraphicOracle(graph), RigidityOracle(graph, d, seed)]
     return rank_union(oracles, built.edges) == len(built.edges)
 
 

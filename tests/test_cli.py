@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from rigidpack import rigidity, stream
 from rigidpack.cli import main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
 from rigidpack.matroid import ForestState
-from rigidpack.rigidity import RigidityOracle, RigidityPartitionState
+from rigidpack.rigidity import Realization, RigidityOracle, RigidityPartitionState
+from rigidpack.stream import stream_rng
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -114,7 +116,7 @@ def test_orient_packing_failure(capsys, monkeypatch):
 
 
 def test_orient_unverified_packing_fails(capsys, monkeypatch):
-    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, ids: False)
+    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
     text = write_graph(complete_graph(17))
     code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "4", "--t", "2"], stdin=text)
     assert code == 1
@@ -308,3 +310,41 @@ def test_seeded_output_is_pinned(capsys, monkeypatch, argv, digest):
     code, out = run_cli(capsys, monkeypatch, command_argv, stdin=host)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rank_union_draws_one_realization(capsys, monkeypatch):
+    drawn = []
+    draw = Realization.random.__func__
+
+    def counting(cls, n, d, seed, salt=0):
+        drawn.append(salt)
+        return draw(cls, n, d, seed, salt)
+
+    monkeypatch.setattr(Realization, "random", classmethod(counting))
+    text = write_graph(complete_graph(12))
+    code, out = run_cli(capsys, monkeypatch, ["rank", "--d", "2", "--t", "3"], stdin=text)
+    assert code == 0 and out.strip() == "63"
+    assert len(drawn) == 1
+
+
+def test_simulate_gpd_realization_stream_is_no_trials(capsys, monkeypatch):
+    # the Schwartz-Zippel bound needs the rigidity coordinates independent of
+    # every trial's vertex ordering, so no trial may draw the realization's
+    # stream, however many trials run
+    drawn = {"trials": set(), "realization": set()}
+
+    def recording(kind):
+        def rng(seed, stream_id=0):
+            drawn[kind].add((seed, stream_id))
+            return stream_rng(seed, stream_id)
+        return rng
+
+    monkeypatch.setattr(stream, "stream_rng", recording("trials"))
+    monkeypatch.setattr(rigidity, "stream_rng", recording("realization"))
+    text = write_graph(complete_graph(8))
+    code, _ = run_cli(capsys, monkeypatch, [
+        "simulate", "gpd", "--cap", "3", "--trials", "20", "--seed", "2", "--check",
+    ], stdin=text)
+    assert code == 0
+    assert len(drawn["trials"]) == 20 and drawn["realization"]
+    assert not drawn["trials"] & drawn["realization"]

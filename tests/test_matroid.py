@@ -306,3 +306,44 @@ def test_dead_set_prunes_circuit_queries():
     assert result.total == 2 * complete_rank(30, 2) == 114
     assert len(queried) == 514 < 814
     assert_dead_set_closed(oracles, result)
+
+
+@pytest.mark.parametrize("n,p,graph_seed,d,t,graphic", [
+    (30, 0.5, 4, 2, 2, False),   # 115 failed searches (see the test above)
+    (24, 0.3, 2, 2, 2, False),   # short parts (44, 43) of 45; 93 of 94 dead
+    (20, 0.5, 2, 2, 3, False),   # third part short, nothing dead
+    (24, 0.5, 2, 3, 2, False),
+    (20, 0.4, 2, 2, 1, True),
+    (20, 0.5, 1, 2, 2, True),    # tree plus two rigid parts; 97 of 102 dead
+])
+def test_shared_realization_partitions_as_distinct_ones(n, p, graph_seed, d, t, graphic):
+    # partition reads only circuits, insert verdicts and sorted frontiers, so
+    # it depends on the matroid alone: t copies of one generic realization
+    # give the parts and dead set that t distinct realizations give
+    g = gnp_graph(n, p, seed=graph_seed)
+    head = [GraphicOracle(g)] if graphic else []
+    shared = partition(head + [RigidityOracle(g, d, 5, salt=1)] * t, range(g.m))
+    distinct = partition(
+        head + [RigidityOracle(g, d, 5, salt=i + 1) for i in range(t)], range(g.m)
+    )
+    assert shared.parts == distinct.parts
+    assert shared.dead == distinct.dead
+
+
+def count_realizations(monkeypatch):
+    drawn = []
+    draw = Realization.random.__func__
+
+    def counting(cls, n, d, seed, salt=0):
+        drawn.append(salt)
+        return draw(cls, n, d, seed, salt)
+
+    monkeypatch.setattr(Realization, "random", classmethod(counting))
+    return drawn
+
+
+def test_pack_rigid_draws_one_realization_and_one_recheck(monkeypatch):
+    drawn = count_realizations(monkeypatch)
+    result = pack_rigid(complete_graph(12), 2, 3, seed=1)
+    assert result.feasible and result.verified
+    assert len(drawn) == 2              # one for all three parts, one re-check

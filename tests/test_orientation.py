@@ -210,7 +210,7 @@ def test_k1_orientation_pipeline():
 
 
 def test_unverified_packing_raises(monkeypatch):
-    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, ids: False)
+    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
     with pytest.raises(PackingUnverifiedError) as info:
         k_connected_orientation(complete_graph(17), 2)
     assert info.value.packing.feasible and not info.value.packing.verified

@@ -235,3 +235,7 @@ def test_verify_independent_fresh_realization():
     base = oracle.extract_base(range(g.m))
     assert oracle.verify_independent(base)
     assert not oracle.verify_independent(range(g.m))
+    # several sets at once: all pass together, and one dependent set fails the call
+    other = oracle.extract_base(range(g.m - 1, -1, -1)[:8])
+    assert oracle.verify_independent(base, other, [0, 1])
+    assert not oracle.verify_independent(base, range(g.m), other)
