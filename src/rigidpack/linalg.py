@@ -23,12 +23,17 @@ every slot, applied through per-slot masks until no slot reaches 2^61.
   touches only the kept rows its support hits: at most 2d for a rigidity
   row, whatever the size of the basis.
 * **Slot bound.**  A row is canonical (every slot in [0, PRIME)) when it is
-  kept.  Later inserts and removals add multiples c * r of canonical rows r
-  (c < PRIME) to it without folding, so after u such updates every slot is
-  below 2^61 + u * 2^122; SLOT_BITS = 192 holds that for any u < 2^70, a
-  count no run reaches.  A row is canonicalised when it is next used as a
-  multiplier, so every product c * r formed has slots below 2^122, and a
-  reduction summing k of them stays below (k + 1) * 2^122.
+  kept.  A product c * r of a coefficient c < PRIME and a canonical row r
+  has slots below 2^122, and 2^61 + 63 * 2^122 < 64 * 2^122 = 2^128, so a
+  128-bit slot holds one canonical entry plus any 63 such products.  Two
+  rules keep every slot inside that bound.  Every sum of products (the
+  reduction in ``_reduce`` and the tracking sums in ``insert`` and
+  ``circuit``) starts from a canonical value and is canonicalised after
+  every FOLD = 63 products (``_sum``).  Kept rows take updates c * r
+  without folding (the pivot clearing of ``insert`` and the downdate of
+  ``remove``), so after u of them a slot is below 2^61 + u * 2^122; the
+  row (structural and tracking part) is canonicalised as soon as its
+  ``pending`` count reaches FOLD, and when it is next used as a multiplier.
 * **Recycled tracking slots.**  With ``track_width`` > 0 every kept row
   carries the coefficients expressing it in the raw rows of the live
   members ([A | I] elimination), one tracking slot per live member.  A
@@ -54,10 +59,11 @@ from typing import Sequence
 
 PRIME = (1 << 61) - 1
 
-SLOT_BITS = 192
+SLOT_BITS = 128
 _SLOT_BYTES = SLOT_BITS // 8
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _ENTRY_BYTES = 8  # a canonical entry (< 2^61) fits the low bytes of its slot
+FOLD = 63  # products a slot holds on top of one canonical entry (module notes)
 
 
 class RowBasis:
@@ -115,8 +121,19 @@ class RowBasis:
             if self.track_width:
                 self.tracks[pivot] = self._canonical(self.tracks[pivot])
 
+    def _sum(self, acc: int, terms: list[tuple[int, int]], parts: dict[int, int]) -> int:
+        """acc + sum of coef * parts[p] over terms, canonicalised every FOLD products.
+
+        acc and every part it adds must be canonical; so is the result.
+        """
+        for lo in range(0, len(terms), FOLD):
+            for p, coef in terms[lo : lo + FOLD]:
+                acc += coef * parts[p]
+            acc = self._canonical(acc)
+        return acc
+
     def _reduce(self, entries: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-        """(reduced structural row, [(pivot, coefficient)] of the rows used)."""
+        """(canonical reduced structural row, [(pivot, coefficient)] of the rows used)."""
         if len(entries) != self.ncols:
             raise ValueError(f"row has {len(entries)} entries, basis has {self.ncols} columns")
         work = 0
@@ -128,29 +145,29 @@ class RowBasis:
                 work |= v << (SLOT_BITS * c)
                 if c in rows:
                     hits.append((c, PRIME - v))
-        for p, coef in hits:
-            if p in pending:
-                self._clean(p)
-            work += coef * rows[p]
-        return work, hits
+                    if c in pending:
+                        self._clean(c)
+        return self._sum(work, hits, rows), hits
 
     def insert(self, entries: Sequence[int], member: int | None = None) -> bool:
         """Reduce and keep the row if independent; returns False on dependence.
 
-        A tracking basis needs the member id of every row it is given.  The
-        reduction saved by the last ``circuit`` query is reused when that
-        query was for this same row object.
+        A tracking basis needs the member id of every row it is given, and
+        that member must not be live.  The reduction saved by the last
+        ``circuit`` query is reused when that query was for this same row
+        object.
         """
         if self.track_width and member is None:
             raise ValueError("a tracking basis needs a member id for each row")
         if not self.track_width and member is not None:
             raise ValueError("member ids need track_width > 0")
+        if member in self.index_of:
+            raise ValueError(f"member {member} is already live")
         saved, self._saved = self._saved, None
         if saved is not None and saved[0] is entries:
             _, work, hits = saved
         else:
             work, hits = self._reduce(entries)
-            work = self._canonical(work)
         if not work:
             return False
         pivot = ((work & -work).bit_length() - 1) // SLOT_BITS
@@ -163,10 +180,8 @@ class RowBasis:
             if not self.free_slots:
                 raise ValueError("more independent rows than tracking slots")
             slot = self.free_slots.pop()
-            track = inv << (SLOT_BITS * slot)
-            for p, coef in hits:
-                track += coef * inv % PRIME * tracks[p]
-            track = self._canonical(track)
+            track = self._sum(inv << (SLOT_BITS * slot),
+                              [(p, coef * inv % PRIME) for p, coef in hits], tracks)
             self.index_of[member] = slot
             self.slot_member[slot] = member
         # clear the new pivot column from every other kept row
@@ -177,7 +192,9 @@ class RowBasis:
                 rows[p] = other + c * row
                 if tracked:
                     tracks[p] += c * track
-                pending[p] = pending.get(p, 0) + 1
+                updates = pending[p] = pending.get(p, 0) + 1
+                if updates == FOLD:
+                    self._clean(p)
         rows[pivot] = row
         if tracked:
             tracks[pivot] = track
@@ -186,7 +203,7 @@ class RowBasis:
     def residue(self, entries: Sequence[int]) -> list[int]:
         """A reduced form of the row (structural slots); all-zero iff dependent."""
         work, _ = self._reduce(entries)
-        raw = self._canonical(work).to_bytes(self.ncols * _SLOT_BYTES, "little")
+        raw = work.to_bytes(self.ncols * _SLOT_BYTES, "little")
         return [int.from_bytes(raw[i : i + _ENTRY_BYTES], "little")
                 for i in range(0, len(raw), _SLOT_BYTES)]
 
@@ -199,14 +216,10 @@ class RowBasis:
         if not self.track_width:
             raise ValueError("circuit queries need track_width > 0")
         work, hits = self._reduce(entries)
-        work = self._canonical(work)
         if work:
             self._saved = (entries, work, hits)
             return None
-        track = 0
-        for p, coef in hits:
-            track += coef * self.tracks[p]
-        track = self._canonical(track)
+        track = self._sum(0, hits, self.tracks)
         # bit 61 of a canonical slot plus PRIME is set iff the slot is nonzero
         flags = ((track + self._low) >> 61) & self._ones
         selectors = flags.to_bytes(self.track_width * _SLOT_BYTES, "little")[::_SLOT_BYTES]
@@ -240,7 +253,9 @@ class RowBasis:
             f = PRIME - c * inv % PRIME
             rows[p] += f * row
             tracks[p] += f * track
-            pending[p] = pending.get(p, 0) + 1
+            updates = pending[p] = pending.get(p, 0) + 1
+            if updates == FOLD:
+                self._clean(p)
         del rows[drop], tracks[drop]
         self.slot_member[slot] = -1
         self.free_slots.append(slot)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+CHILDREN = 1_000_002  # child indices per stream
+
 
 def stream_rng(seed: int, stream: int = 0) -> random.Random:
     """Fresh generator fully determined by (seed, stream)."""
@@ -28,5 +30,14 @@ class SeededStream:
         return stream_rng(self.seed, self.stream)
 
     def child(self, index: int) -> "SeededStream":
-        # disjoint fan-out: children of distinct (stream, index) never collide
-        return SeededStream(self.seed, self.stream * 1_000_003 + index + 1)
+        """The stream of sub-task ``index``, for 0 <= index < CHILDREN.
+
+        A child's id is its parent's id followed by the base-(CHILDREN + 1)
+        digit index + 1, which is never 0.  So every stream reached from
+        the root stream 0 by ``child`` calls is a numeral whose digits all
+        lie in 1..CHILDREN, one numeral per path: no two of them collide,
+        and none is the root.
+        """
+        if not 0 <= index < CHILDREN:
+            raise ValueError(f"child index {index} outside [0, {CHILDREN})")
+        return SeededStream(self.seed, self.stream * (CHILDREN + 1) + index + 1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rigidpack.linalg import PRIME, SLOT_BITS, RowBasis
+from rigidpack.linalg import FOLD, PRIME, SLOT_BITS, RowBasis
 from rigidpack.rigidity import Realization, rigidity_matrix_row
 
 
@@ -156,6 +156,20 @@ def test_row_basis_remove_consistency():
         assert len(basis) == len(live) == bareiss_rank([raw[m] for m in live])
 
 
+def test_row_basis_insert_rejects_a_live_member():
+    basis = RowBasis(3, track_width=3)
+    assert basis.insert([1, 0, 0], 7)
+    for row in ([0, 1, 0], [2, 0, 0]):  # independent or dependent alike
+        with pytest.raises(ValueError, match="already live"):
+            basis.insert(row, 7)
+    assert len(basis) == 1 and basis.index_of == {7: 0}
+    assert basis.circuit([1, 1, 0]) is None
+    assert basis.circuit([3, 0, 0]) == {7}
+    basis.remove(7)
+    assert len(basis) == 0 and sorted(basis.free_slots) == [0, 1, 2]
+    assert basis.insert([0, 1, 0], 7)  # a removed member may come back
+
+
 def test_row_basis_circuit_is_fundamental():
     rng = random.Random(41)
     ncols, nmem = 5, 12
@@ -278,40 +292,120 @@ def test_row_basis_differential(seed, monkeypatch):
 
 
 def slot_values(packed, width):
-    return [(packed >> (SLOT_BITS * i)) & ((1 << SLOT_BITS) - 1) for i in range(width)]
+    step = SLOT_BITS // 8
+    raw = packed.to_bytes(width * step, "little")  # OverflowError past the top slot
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
 
 
 def test_row_basis_slot_bound_under_pending_updates():
-    # rows 0..11 are e_i plus a dense tail on columns 12..23; rows 12..23 live
+    # rows 0..3 are e_i plus a dense tail on columns 4..73; rows 4..73 live
     # on the tail only.  Each tail row takes a new pivot in the tail and
-    # clears it from rows 0..11, which no later insert uses as a multiplier,
-    # so their updates pile up un-canonicalised.
+    # clears it from rows 0..3, which no later insert uses as a multiplier,
+    # so their updates pile up un-canonicalised until the FOLD-th.  Removing
+    # tail members then downdates every surviving row more than FOLD times.
     rng = random.Random(5)
-    ncols, half = 24, 12
-    raw = [[rng.randrange(1, PRIME) if c == i or c >= half else 0 for c in range(ncols)]
-           for i in range(half)]
-    raw += [[rng.randrange(PRIME) if c >= half else 0 for c in range(ncols)]
-            for _ in range(half)]
+    head, tail = 4, 70
+    ncols = head + tail
+    raw = [[rng.randrange(1, PRIME) if c == i or c >= head else 0 for c in range(ncols)]
+           for i in range(head)]
+    raw += [[rng.randrange(PRIME) if c >= head else 0 for c in range(ncols)]
+            for _ in range(tail)]
     basis = RowBasis(ncols, track_width=ncols)
+    peak = noncanonical = 0
+
+    def check_slots():
+        nonlocal peak, noncanonical
+        for pivot, row in basis.rows.items():
+            updates = basis.pending.get(pivot, 0)
+            assert updates <= FOLD
+            peak = max(peak, updates)
+            for part in (row, basis.tracks[pivot]):
+                slots = slot_values(part, ncols)
+                assert max(slots) < (1 << 61) + updates * (1 << 122)
+                assert max(slots) < 1 << SLOT_BITS
+                noncanonical += any(v >= PRIME for v in slots)
+
     for m, row in enumerate(raw):
         assert basis.insert(row, m)
-    noncanonical = 0
-    for pivot, updates in basis.pending.items():
-        bound = (1 << 61) + updates * (1 << 122)
-        for part in (basis.rows[pivot], basis.tracks[pivot]):
-            slots = slot_values(part, ncols)
-            assert max(slots) < bound
-            noncanonical += any(v >= PRIME for v in slots)
-    assert max(basis.pending.values()) == half
+        check_slots()
+    # rows 0..3 took `tail` updates: canonicalised at the FOLD-th, then 7 more
+    assert peak == FOLD - 1
+    assert [basis.pending[i] for i in range(head)] == [tail - FOLD] * head
     assert noncanonical > 0
     # queries still see the exact basis: every raw row's circuit is itself
     for m, row in enumerate(raw):
         assert basis.circuit(row) == {m}
     live = dict(enumerate(raw))
     probe = [(a + 3 * b) % PRIME for a, b in zip(raw[0], raw[7])]
-    assert basis.circuit(probe) == brute_circuit(live, probe) == {0, 7}
+    assert basis.circuit(probe) == {0, 7}
     # every row has since served as a multiplier, so every row is canonical
     assert not basis.pending
     for pivot, row in basis.rows.items():
         for part in (row, basis.tracks[pivot]):
             assert max(slot_values(part, ncols)) < PRIME
+    # each removal downdates every row that stays: the last 8 take 66 each
+    peak = 0
+    for m in range(head, head + 66):
+        basis.remove(m)
+        del live[m]
+        check_slots()
+    assert peak == FOLD - 1
+    assert sorted(basis.pending.values()) == [66 - FOLD] * len(live)
+    for m, row in live.items():
+        assert basis.circuit(row) == {m}
+    probe = [(a + 5 * b) % PRIME for a, b in zip(raw[70], raw[72])]
+    assert basis.circuit(probe) == brute_circuit(live, probe) == {70, 72}
+
+
+def test_row_basis_folds_wide_sums():
+    # Every sum below has more than 2 * FOLD products, so it passes two fold
+    # points, and unit rows with PRIME - 1 in every tail slot make each
+    # product about 2^122: a sum of 64 of them overflows its slot unfolded.
+    k = 2 * FOLD + 4  # unit rows e_m, m < k; columns k..k+2 are the tail
+    ncols = k + 3
+    raw = {m: [1 if c == m else PRIME - 1 if c >= k else 0 for c in range(ncols)]
+           for m in range(k)}
+    basis = RowBasis(ncols, track_width=k + 2)
+    for m, row in raw.items():
+        assert basis.insert(row, m)
+    live = dict(raw)
+    assert rank_mod_p(list(live.values())) == k
+
+    def combination(members):
+        return [sum(raw[m][c] for m in members) % PRIME for c in range(ncols)]
+
+    # _reduce: k - 3 products (PRIME - 1)^2 land in each tail slot
+    most = set(range(3, k))
+    probe = combination(most)
+    assert basis.circuit(probe) == brute_circuit(live, probe) == most
+    # from here on the live rows stay independent (rank_mod_p), so a
+    # combination's circuit is exactly the members it combines
+
+    # a dense row hitting every unit row, whose reduced pivot entry is
+    # PRIME - 1; clearing its pivot k puts PRIME - 1 into the tracking slot
+    # of member k in every unit row
+    raw[k] = [1] * k + [PRIME - 1 - k, 12345, 678]
+    assert basis.insert(raw[k], k)
+    live[k] = raw[k]
+    assert rank_mod_p(list(live.values())) == k + 1
+    # circuit's tracking sum: k - 3 products (PRIME - 1)^2 in member k's slot
+    assert basis.circuit(combination(most)) == most
+
+    # insert's tracking sum: a dense row with reduced pivot entry 1 hitting
+    # every unit row with coefficient PRIME - 1 adds k products
+    # (PRIME - 1)^2 in member k's slot again
+    row = [1] * k + [0, 0, 0]
+    row[k + 1] = (1 - basis.residue(row)[k + 1]) % PRIME
+    raw[k + 1] = row
+    assert basis.insert(row, k + 1)
+    live[k + 1] = row
+    assert rank_mod_p(list(live.values())) == k + 2
+    for m in (0, k, k + 1):
+        assert basis.circuit(raw[m]) == {m}
+    probe = [(a + 7 * b) % PRIME for a, b in zip(raw[k + 1], combination(range(k // 2)))]
+    assert basis.circuit(probe) == set(range(k // 2)) | {k + 1}
+    basis.remove(k)
+    del live[k]
+    assert rank_mod_p(list(live.values())) == k + 1
+    assert basis.circuit(combination(range(1, k))) == set(range(1, k))
+    assert basis.circuit(raw[k]) is None

@@ -18,7 +18,7 @@ from rigidpack.stochastic import (
     mean_stderr,
     sample_independent_subgraph,
 )
-from rigidpack.stream import SeededStream
+from rigidpack.stream import CHILDREN, SeededStream
 
 
 def test_mean_stderr():
@@ -217,3 +217,21 @@ def test_binomial_tail():
     check = binomial_tail_check(40, 0.5, 0.3, trials=2000, stream=SeededStream(3))
     assert check.ok
     assert 0 <= check.frequency <= 1
+
+
+def test_child_streams_never_collide():
+    root = SeededStream(0)
+    # indices outside [0, CHILDREN) used to alias other streams:
+    # child(1000003) was child(0).child(0), and child(-1) the parent itself
+    for index in (-1, CHILDREN, 1_000_003):
+        with pytest.raises(ValueError):
+            root.child(index)
+    assert root.child(CHILDREN - 1).stream == CHILDREN
+    # a small nested tree with the extreme indices at every level
+    picks = (0, 1, CHILDREN - 2, CHILDREN - 1)
+    level = [root]
+    seen = {root.stream}
+    for _ in range(3):
+        level = [s.child(i) for s in level for i in picks]
+        seen.update(s.stream for s in level)
+    assert len(seen) == 1 + 4 + 16 + 64
