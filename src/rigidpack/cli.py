@@ -18,6 +18,7 @@ with a ``partition-failure`` report whose certificate kind is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -323,7 +324,9 @@ def _simulate_chernoff(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rigidpack",
         description="rigidity packings, degree-specified orientations, verifiers",

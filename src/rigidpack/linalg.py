@@ -172,7 +172,7 @@ class RowBasis:
             return False
         pivot = ((work & -work).bit_length() - 1) // SLOT_BITS
         shift = SLOT_BITS * pivot
-        inv = pow((work >> shift) & _SLOT_MASK, PRIME - 2, PRIME)
+        inv = pow((work >> shift) & _SLOT_MASK, -1, PRIME)
         row = self._canonical(work * inv)
         rows, tracks, pending = self.rows, self.tracks, self.pending
         tracked = self.track_width > 0
@@ -247,7 +247,7 @@ class RowBasis:
         (drop, lead), rest = holders[0], holders[1:]
         self._clean(drop)
         row, track = self.rows[drop], self.tracks[drop]
-        inv = pow(lead, PRIME - 2, PRIME)
+        inv = pow(lead, -1, PRIME)
         rows, tracks, pending = self.rows, self.tracks, self.pending
         for p, c in rest:
             f = PRIME - c * inv % PRIME

@@ -25,6 +25,13 @@ that matters, every chosen shortest path and every part come out as they
 would without the set.  It is returned as ``MatroidPartition.dead``; every
 uncovered element is in it.
 
+Each oracle also states ``max_rank``: no independent set is larger, and one
+of exactly that size spans every element.  Once the covered elements number
+the sum of the parts' ``max_rank``, every part is a basis, so every later
+search would fail: ``partition`` stops there, and the dead set is the whole
+ground set, which every part spans.  The parts are those the remaining
+searches would have left.
+
 Each state answers exactly for one fixed matroid; a rigidity state's is the
 linear matroid of its realization, whose "independent" answers are exact
 generically too.  A shortest augmenting path keeps every part independent
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .graph import Graph
-from .rigidity import RigidityOracle, complete_rank, independent_d1
+from .rigidity import RigidityOracle, independent_d1
 
 
 class MatroidState(Protocol):
@@ -49,6 +56,8 @@ class MatroidState(Protocol):
 
 
 class IndependenceOracle(Protocol):
+    @property
+    def max_rank(self) -> int: ...
     def new_state(self) -> MatroidState: ...
 
 
@@ -61,6 +70,11 @@ class GraphicOracle:
 
     def __init__(self, graph: Graph):
         self.graph = graph
+
+    @property
+    def max_rank(self) -> int:
+        """A forest has at most n - 1 edges; one with n - 1 is a spanning tree."""
+        return max(self.graph.n - 1, 0)
 
     def new_state(self) -> "ForestState":
         return ForestState(self.graph)
@@ -118,6 +132,7 @@ class MatroidPartition:
 
     ``dead`` holds the elements labelled by failed augmenting searches: each
     part's members in it span it, and it holds every uncovered element.
+    Once every part is a basis (saturation) it is the whole ground set.
     """
 
     parts: tuple[frozenset[int], ...]
@@ -139,6 +154,8 @@ def partition(
     """Maximum-cardinality partition of the ground set into independent parts.
 
     An oracle listed several times serves several parts, one state each.
+    Placement stops at saturation, when every part holds its oracle's
+    ``max_rank`` elements.
     """
     if not oracles:
         raise ValueError("need at least one oracle")
@@ -147,8 +164,13 @@ def partition(
     memos: list[dict[int, set[int] | None]] = [{} for _ in states]
     part_of: dict[int, int] = {}
     dead: set[int] = set()
+    full = sum(o.max_rank for o in oracles)
     for e in order:
+        if len(part_of) == full:
+            break
         _place(e, states, memos, part_of, dead)
+    if len(part_of) == full:
+        dead = set(order)
     parts: list[set[int]] = [set() for _ in states]
     for x, i in part_of.items():
         parts[i].add(x)
@@ -246,7 +268,7 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
         raise ValueError("t must be at least 1")
     oracle = RigidityOracle(graph, d, seed, salt=1)
     result = partition([oracle] * t, range(graph.m))
-    target = complete_rank(graph.n, d)
+    target = oracle.max_rank
     feasible = all(len(p) == target for p in result.parts)
     verified = feasible and oracle.verify_independent(*result.parts)
     return PackingResult(result.parts, (target,) * t, feasible, verified, seed)
@@ -264,7 +286,7 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
         raise ValueError("need at least d+1 vertices")
     oracles: list = [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=1)]
     result = partition(oracles, range(graph.m))
-    targets = (graph.n - 1, complete_rank(graph.n, d))
+    targets = tuple(o.max_rank for o in oracles)
     feasible = all(len(p) == t for p, t in zip(result.parts, targets))
     verified = (feasible and independent_d1(graph, result.parts[0])
                 and oracles[1].verify_independent(result.parts[1]))

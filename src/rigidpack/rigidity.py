@@ -13,6 +13,11 @@ re-checked, all its parts at once, under one fresh realization
 are 1 for packings and union ranks, 0 for orientation bases and
 ``simulate gpd --check``, and ``salt + 2^20`` for re-checks.
 
+Every realization's rank is at most ``complete_rank(n, d)`` (see
+``RigidityOracle.max_rank``), so a set of that many independent edges spans
+every edge.  ``extract_base`` stops scanning there, and matroid partition
+stops placing edges once every part is that large.
+
 Exact combinatorial oracles are provided for cross-validation where they
 exist: d=1 (forests, union-find) and d=2 (the (2,3)-pebble game).
 """
@@ -88,6 +93,23 @@ class RigidityOracle:
     def ncols(self) -> int:
         return self.d * self.graph.n
 
+    @property
+    def max_rank(self) -> int:
+        """``complete_rank(n, d)``, a bound on the rank of any edge set.
+
+        It holds for every realization, not only a generic one.  With the
+        coordinates left as indeterminates over GF(PRIME), the C(d+1, 2)
+        trivial motions (translations, and x -> Ax with A skew) are
+        independent vectors in the kernel of K_n's rigidity matrix once
+        n >= d + 1, so its rank is at most dn - C(d+1, 2); below n = d + 2
+        the bound is the row count C(n, 2).  A specialisation to drawn
+        coordinates can only lower rank, since a minor that vanishes
+        identically vanishes at every point.  So the bound is exact, not
+        probabilistic: a set of this many independent edges spans every
+        edge.
+        """
+        return complete_rank(self.graph.n, self.d)
+
     def row(self, edge_id: int) -> list[int]:
         r = self._rows.get(edge_id)
         if r is None:
@@ -106,7 +128,7 @@ class RigidityOracle:
     def is_rigid(self, edge_ids: Iterable[int] | None = None) -> bool:
         """Whether the edge set spans R_d of the complete graph on V."""
         ids = frozenset(range(self.graph.m)) if edge_ids is None else frozenset(edge_ids)
-        return self.rank(ids) == complete_rank(self.graph.n, self.d)
+        return self.rank(ids) == self.max_rank
 
     def is_linked(self, u: int, v: int, edge_ids: Iterable[int]) -> bool:
         """True iff adding the (virtual) edge uv leaves the rank unchanged."""
@@ -119,10 +141,16 @@ class RigidityOracle:
         return not any(basis.residue(probe))
 
     def extract_base(self, edge_ids: Iterable[int]) -> list[int]:
-        """Greedy maximal independent subset, scanned in edge-index order."""
+        """Greedy maximal independent subset, scanned in edge-index order.
+
+        The scan stops once ``max_rank`` edges are kept: they span the rest.
+        """
         basis = RowBasis(self.ncols)
         kept = []
+        full = self.max_rank
         for e in sorted(set(edge_ids)):
+            if len(kept) == full:
+                break
             if basis.insert(self.row(e)):
                 kept.append(e)
         return kept
@@ -155,7 +183,7 @@ class RigidityPartitionState:
     def __init__(self, oracle: RigidityOracle):
         self.oracle = oracle
         # live members are independent, so at most min(m, r_d(K_n)) hold a slot
-        width = min(oracle.graph.m, complete_rank(oracle.graph.n, oracle.d))
+        width = min(oracle.graph.m, oracle.max_rank)
         self.basis = RowBasis(oracle.ncols, track_width=width)
 
     def insert(self, edge_id: int) -> bool:

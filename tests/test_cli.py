@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rigidpack import rigidity, stream
-from rigidpack.cli import main
+from rigidpack.cli import build_parser, main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
 from rigidpack.matroid import ForestState
@@ -215,6 +215,28 @@ def test_parse_error_exit_2(capsys, monkeypatch):
         assert captured.out == "" and message in captured.err
 
 
+def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
+    # one parser serves every main call in a process; no flag, default or
+    # subcommand carries over from one call to the next
+    assert build_parser() is build_parser()
+    k8 = write_graph(complete_graph(8))
+    code, out = run_cli(capsys, monkeypatch, ["rank", "--d", "2", "--graphic"], stdin=k8)
+    assert code == 0 and out.strip() == "20"
+    code, out = run_cli(capsys, monkeypatch, ["rank", "--d", "2"], stdin=k8)
+    assert code == 0 and out.strip() == "13"
+    code, out = run_cli(capsys, monkeypatch, ["verify", "--k", "7", "--seed", "4"], stdin=k8)
+    assert code == 0 and last_json(out)["seed"] == 4
+    code, out = run_cli(capsys, monkeypatch, ["verify", "--k", "7"], stdin=k8)
+    assert code == 0 and last_json(out)["seed"] == 0
+    for argv in (["rank"], ["rank", "--d", "x"], ["pack", "--d", "2", "--graphic"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, monkeypatch, ["rank", "--d", "2", "--t", "2"], stdin=k8)
+    assert code == 0 and out.strip() == "26"
+
+
 def test_simulate_ordering(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, [
         "simulate", "ordering", "--set-size", "10", "--d", "3",
@@ -289,8 +311,9 @@ def test_output_file(tmp_path, capsys, monkeypatch):
 
 
 K17 = ["gen", "complete", "--n", "17"]
-# 229 edges, of which the packing places 114: the other 115 searches fail, so
-# the dead set prunes most of the later ones
+# 229 edges, of which the packing places 114: 39 searches fail and the dead
+# set prunes the later ones; both parts are bases after the 153rd edge, so
+# the last 76 edges start no search
 GNP30 = ["gen", "gnp", "--n", "30", "--p", "0.5", "--seed", "4"]
 
 

@@ -160,6 +160,10 @@ class RefusingOracle:
     def __init__(self, inner, built):
         self.inner, self.built = inner, built
 
+    @property
+    def max_rank(self):
+        return self.inner.max_rank
+
     def new_state(self):
         self.built.append(self)
         return RefusingState(self.inner.new_state())
@@ -196,6 +200,10 @@ class CountingOracle:
     def __init__(self, inner, refused, queried=None):
         self.inner, self.refused = inner, refused
         self.queried = [] if queried is None else queried
+
+    @property
+    def max_rank(self):
+        return self.inner.max_rank
 
     def new_state(self):
         return CountingState(self.inner.new_state(), self.refused, self.queried)
@@ -296,25 +304,62 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
 
 
 def test_dead_set_prunes_circuit_queries():
-    # 229 edges, 114 placed: 115 searches fail, and the elements they label
-    # are never queried again.  Without the dead set this partition makes
-    # 814 circuit queries.
+    # 229 edges, 114 placed: 39 searches fail, and the elements they label
+    # are never queried again; both parts are bases after the 153rd edge, so
+    # the last 76 edges start no search.  With the dead set alone this
+    # partition makes 514 circuit queries, with neither 814.
     g = gnp_graph(30, 0.5, seed=4)
     queried = []
     oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
     result = partition([CountingOracle(o, [], queried) for o in oracles], range(g.m))
     assert result.total == 2 * complete_rank(30, 2) == 114
-    assert len(queried) == 514 < 814
+    assert len(queried) == 358 < 514 < 814
+    assert result.dead == result.ground
     assert_dead_set_closed(oracles, result)
 
 
+def test_saturation_exit_leaves_the_parts_unchanged(monkeypatch):
+    # a run that never sees saturation (max_rank patched huge) searches for
+    # every element and gives the same parts; a saturated run's dead set is
+    # the whole ground set, a short run's is the one the searches labelled
+    rng = random.Random(15)
+    cases = []
+    for _ in range(40):
+        g = gnp_graph(rng.randint(8, 16), rng.uniform(0.3, 0.9), seed=rng.randrange(10**6))
+        head = [GraphicOracle(g)] if rng.random() < 0.3 else []
+        d, t = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append((g, head + [RigidityOracle(g, d, 5, salt=1)] * t))
+    # short parts (44, 43) of 45: 93 of 94 elements dead
+    short = gnp_graph(24, 0.3, seed=2)
+    cases.append((short, [RigidityOracle(short, 2, 5, salt=1)] * 2))
+    early = []
+    for g, oracles in cases:
+        result = partition(oracles, range(g.m))
+        saturated = result.total == sum(o.max_rank for o in oracles)
+        if saturated:
+            assert result.dead == result.ground
+        assert_dead_set_closed(oracles, result)
+        early.append((result, saturated))
+    monkeypatch.setattr(GraphicOracle, "max_rank", 1 << 30)
+    monkeypatch.setattr(RigidityOracle, "max_rank", 1 << 30)
+    for (g, oracles), (result, saturated) in zip(cases, early):
+        late = partition(oracles, range(g.m))
+        assert late.parts == result.parts
+        if not saturated:
+            assert late.dead == result.dead
+    graphic = sum(isinstance(oracles[0], GraphicOracle) for _, oracles in cases)
+    saturated = sum(s for _, s in early)
+    assert graphic >= 5 and 10 <= saturated <= len(cases) - 5
+    assert len(early[-1][0].dead) == 93
+
+
 @pytest.mark.parametrize("n,p,graph_seed,d,t,graphic", [
-    (30, 0.5, 4, 2, 2, False),   # 115 failed searches (see the test above)
+    (30, 0.5, 4, 2, 2, False),   # 39 failed searches, then saturation
     (24, 0.3, 2, 2, 2, False),   # short parts (44, 43) of 45; 93 of 94 dead
     (20, 0.5, 2, 2, 3, False),   # third part short, nothing dead
-    (24, 0.5, 2, 3, 2, False),
-    (20, 0.4, 2, 2, 1, True),
-    (20, 0.5, 1, 2, 2, True),    # tree plus two rigid parts; 97 of 102 dead
+    (24, 0.5, 2, 3, 2, False),   # saturated after 132 of 142 edges
+    (20, 0.4, 2, 2, 1, True),    # saturated after 59 of 88 edges
+    (20, 0.5, 1, 2, 2, True),    # tree plus two rigid parts; saturated, all 102 dead
 ])
 def test_shared_realization_partitions_as_distinct_ones(n, p, graph_seed, d, t, graphic):
     # partition reads only circuits, insert verdicts and sorted frontiers, so

@@ -138,6 +138,34 @@ def test_extract_base_greedy():
     assert RigidityOracle(k5, 3, salt=9).is_independent(base)
 
 
+def test_extract_base_stops_at_complete_rank(monkeypatch):
+    # K10 in the plane: the first 17 edges (the stars at 0 and 1) already
+    # span every row, so the scan inserts no more of the 45
+    inserted = []
+    insert = RowBasis.insert
+
+    def counting(self, entries, member=None):
+        inserted.append(member)
+        return insert(self, entries, member)
+
+    monkeypatch.setattr(RowBasis, "insert", counting)
+    g = complete_graph(10)
+    oracle = RigidityOracle(g, 2)
+    assert oracle.max_rank == complete_rank(10, 2) == 17
+    base = oracle.extract_base(range(g.m))
+    assert base == list(range(17)) and len(inserted) == 17
+    assert oracle.is_rigid() and oracle.rank(range(g.m)) == 17
+    assert len(inserted) == 17 * 3
+    # a set that falls short is scanned to the end: edges 30-44 are K6 on
+    # vertices 4-9, of rank 9
+    inserted.clear()
+    assert oracle.rank(range(30, g.m)) == 9 and len(inserted) == 15
+    # without the bound the scan makes every insert and keeps the same edges
+    monkeypatch.setattr(RigidityOracle, "max_rank", 1 << 30)
+    inserted.clear()
+    assert oracle.extract_base(range(g.m)) == base and len(inserted) == 45
+
+
 def test_sparsity_of_independent_sets():
     rng = random.Random(5)
     for d in (1, 2, 3):
