@@ -34,13 +34,23 @@ every slot, applied through per-slot masks until no slot reaches 2^61.
   ``remove``), so after u of them a slot is below 2^61 + u * 2^122; the
   row (structural and tracking part) is canonicalised as soon as its
   ``pending`` count reaches FOLD, and when it is next used as a multiplier.
+* **Triangular rows.**  Every kept row's top nonzero slot is its own
+  pivot, where it holds exactly 1 (``rows[p].bit_length() == SLOT_BITS * p
+  + 1``), so a row at pivot p spans p + 1 slots, not ``ncols``.  ``insert``
+  pivots a new row on its highest nonzero slot P.  It then clears column P
+  from the rows nonzero there, and those have pivots above P; the multiple
+  it adds lies at or below P, so it leaves every such row's top slot alone.
+  ``remove`` downdates through the holder with the lowest pivot q, whose
+  row lies at or below q, below every other holder's pivot, for the same
+  reason.
 * **Recycled tracking slots.**  With ``track_width`` > 0 every kept row
   carries the coefficients expressing it in the raw rows of the live
   members ([A | I] elimination), one tracking slot per live member.  A
   member takes a free slot when its row is kept and gives it back when it
   is removed, so ``track_width`` has to cover the live members (at most the
-  rank), not every member id.  Removal is a downdate: one row holding the
-  member's slot clears that slot from every other row and is dropped.
+  rank), not every member id.  Removal is a downdate: the row with the
+  lowest pivot among those holding the member's slot clears that slot from
+  every other row and is dropped.
 * **One reduction per placed row.**  A ``circuit`` query that finds its
   row independent saves the reduced row and the pivots it hit.  The next
   ``insert`` of the same row object (the apply step of an augmenting path)
@@ -170,7 +180,7 @@ class RowBasis:
             work, hits = self._reduce(entries)
         if not work:
             return False
-        pivot = ((work & -work).bit_length() - 1) // SLOT_BITS
+        pivot = (work.bit_length() - 1) // SLOT_BITS
         shift = SLOT_BITS * pivot
         inv = pow((work >> shift) & _SLOT_MASK, -1, PRIME)
         row = self._canonical(work * inv)
@@ -228,11 +238,13 @@ class RowBasis:
     def remove(self, member: int) -> None:
         """Drop a member's row by downdating the basis; nothing is re-inserted.
 
-        The first kept row holding the member's tracking slot clears that
-        slot from every other row and is dropped.  The others stay 1 at
-        their pivots and 0 at each other's, and now express themselves in
-        the remaining members only, so they span exactly the rows of the
-        members that stay (the live rows are independent).
+        Of the kept rows holding the member's tracking slot, the one with
+        the lowest pivot clears that slot from every other row and is
+        dropped; its row lies below the other holders' pivots, so every row
+        stays triangular.  The others stay 1 at their pivots and 0 at each
+        other's, and now express themselves in the remaining members only,
+        so they span exactly the rows of the members that stay (the live
+        rows are independent).
         """
         if not self.track_width:
             raise ValueError("removal needs track_width > 0")
@@ -244,7 +256,7 @@ class RowBasis:
             c = ((track >> shift) & _SLOT_MASK) % PRIME
             if c:
                 holders.append((p, c))
-        (drop, lead), rest = holders[0], holders[1:]
+        (drop, lead), *rest = sorted(holders)  # the lowest pivot (module notes)
         self._clean(drop)
         row, track = self.rows[drop], self.tracks[drop]
         inv = pow(lead, -1, PRIME)

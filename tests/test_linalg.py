@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from rigidpack.generators import complete_graph, gnp_graph
 from rigidpack.linalg import FOLD, PRIME, SLOT_BITS, RowBasis
+from rigidpack.matroid import pack_rigid
 from rigidpack.rigidity import Realization, rigidity_matrix_row
 
 
@@ -227,6 +229,12 @@ def mixed_rows(rng, n, d):
     return rows
 
 
+def assert_triangular(basis):
+    """Every kept row's top nonzero slot is its own pivot, where it holds exactly 1."""
+    for pivot, row in basis.rows.items():
+        assert row.bit_length() == SLOT_BITS * pivot + 1
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_row_basis_differential(seed, monkeypatch):
     rng = random.Random(seed)
@@ -245,12 +253,14 @@ def test_row_basis_differential(seed, monkeypatch):
             patched.setattr(RowBasis, "insert", no_insert)
             basis.remove(victim)
         del live[victim]
+        assert_triangular(basis)
 
     def insert(m):
         kept = basis.insert(raw[m], m)
         assert kept == (rank_mod_p(list(live.values()) + [raw[m]]) > len(live))
         if kept:
             live[m] = raw[m]
+        assert_triangular(basis)
 
     for _ in range(160):
         op = rng.random()
@@ -289,6 +299,35 @@ def test_row_basis_differential(seed, monkeypatch):
         # rows independent over GF(PRIME) are independent over the rationals
         assert len(basis) == len(live) == bareiss_rank(list(live.values()))
         assert len(set(basis.index_of.values())) == len(live)
+        assert_triangular(basis)
+
+
+@pytest.mark.parametrize("graph,d", [
+    *(pytest.param(gnp_graph(14, 0.6, seed=s), 2, id=f"gnp14-seed{s}-d2") for s in range(4)),
+    *(pytest.param(gnp_graph(16, 0.7, seed=s), 3, id=f"gnp16-seed{s}-d3") for s in range(4)),
+    pytest.param(complete_graph(17), 4, id="K17-d4"),
+])
+def test_row_basis_stays_triangular_through_partition(graph, d, monkeypatch):
+    # every insert and remove that a packing makes, on the tracked partition
+    # bases and on the plain bases of the re-check, leaves every kept row
+    # with its pivot as its top nonzero slot; 3 of the 9 hosts are short
+    calls = {"insert": 0, "remove": 0}
+
+    def checked(op):
+        method = getattr(RowBasis, op)
+
+        def run(basis, *args):
+            result = method(basis, *args)
+            calls[op] += 1
+            assert_triangular(basis)
+            return result
+
+        monkeypatch.setattr(RowBasis, op, run)
+
+    checked("insert")
+    checked("remove")
+    pack_rigid(graph, d, 2, seed=1)
+    assert calls["insert"] > graph.n and calls["remove"] > 0
 
 
 def slot_values(packed, width):
@@ -298,8 +337,9 @@ def slot_values(packed, width):
 
 
 def test_row_basis_slot_bound_under_pending_updates():
-    # rows 0..3 are e_i plus a dense tail on columns 4..73; rows 4..73 live
-    # on the tail only.  Each tail row takes a new pivot in the tail and
+    # rows 0..3 are e_{73-i} plus a dense tail on columns 0..69; rows 4..73
+    # live on the tail only.  Pivots are highest slots, so rows 0..3 pivot
+    # at the top columns and each tail row takes a new pivot in the tail and
     # clears it from rows 0..3, which no later insert uses as a multiplier,
     # so their updates pile up un-canonicalised until the FOLD-th.  Removing
     # tail members then downdates every surviving row more than FOLD times.
@@ -310,6 +350,7 @@ def test_row_basis_slot_bound_under_pending_updates():
            for i in range(head)]
     raw += [[rng.randrange(PRIME) if c >= head else 0 for c in range(ncols)]
             for _ in range(tail)]
+    raw = [row[::-1] for row in raw]
     basis = RowBasis(ncols, track_width=ncols)
     peak = noncanonical = 0
 
@@ -330,7 +371,7 @@ def test_row_basis_slot_bound_under_pending_updates():
         check_slots()
     # rows 0..3 took `tail` updates: canonicalised at the FOLD-th, then 7 more
     assert peak == FOLD - 1
-    assert [basis.pending[i] for i in range(head)] == [tail - FOLD] * head
+    assert [basis.pending[ncols - 1 - i] for i in range(head)] == [tail - FOLD] * head
     assert noncanonical > 0
     # queries still see the exact basis: every raw row's circuit is itself
     for m, row in enumerate(raw):

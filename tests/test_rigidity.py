@@ -4,7 +4,7 @@ import pytest
 
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
 from rigidpack.graph import Graph, induced_edge_count
-from rigidpack.linalg import RowBasis
+from rigidpack.linalg import PRIME, RowBasis
 from rigidpack.rigidity import (
     Realization,
     RigidityOracle,
@@ -44,7 +44,7 @@ def test_rigidity_matrix_shape_single_edge():
     real = Realization.random(2, 1, seed=0)
     rows = matrix_rows(g, real)
     x0, x1 = real.coords[0][0], real.coords[1][0]
-    assert rows == [[(x0 - x1) % (2**61 - 1), (x1 - x0) % (2**61 - 1)]]
+    assert rows == [[(x0 - x1) % PRIME, (x1 - x0) % PRIME]]
     assert basis_rank(rows) == 1
 
 
