@@ -1,18 +1,20 @@
 """Command-line driver: gen / rank / pack / orient / kriesell / verify / simulate.
 
 Objects (graphs, digraphs, packing parts) stream through stdin/stdout in
-the edge-list format; every run also prints a one-line JSON report with a
-fixed envelope {schema, object, seed, stats, certificates}.  With
---output the object goes to the file and only the JSON stays on stdout.
-Readers ignore content after the last edge line, so emitted objects pipe
-straight into the next subcommand.
+the edge-list format; every run but ``rank`` (which prints the rank alone)
+also prints a one-line JSON report with a fixed envelope {schema, object,
+seed, stats, certificates}.  The commands that read a graph (rank, pack,
+kriesell, orient, verify, simulate e0 and gpd) take -i/--input; those that
+emit one (gen, pack, kriesell, orient) take -o/--output, and then only the
+JSON stays on stdout.  Readers ignore content after the last edge line, so
+emitted objects pipe straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
 feasibility failure with the certificate in the report, 2 usage or parse
 errors.  A kernel fault detected inside a matroid partition (``pack``,
-``kriesell``, ``rank --t``, ``orient``, ``simulate gpd --check``) exits 1
-with a ``partition-failure`` report whose certificate kind is
-``kernel-fault``.
+``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``, ``simulate gpd
+--check``) exits 1 with a ``partition-failure`` report whose certificate
+kind is ``kernel-fault``.
 """
 
 from __future__ import annotations
@@ -96,13 +98,6 @@ def _emit_object(args, text: str) -> None:
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _add_io(sub, output_default="-"):
-    sub.add_argument("-i", "--input", default="-", help="input path (default stdin)")
-    sub.add_argument("-o", "--output", default=output_default,
-                     help="object output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _cert_dict(cert) -> dict:
@@ -332,8 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="rigidity packings, degree-specified orientations, verifiers",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # flag groups: each command takes only the flags it reads
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("-i", "--input", default="-", help="input path (default stdin)")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("-o", "--output", default="-",
+                        help="object output path (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    gen = subs.add_parser("gen", help="write generated graphs and witnesses")
+    gen = subs.add_parser("gen", parents=[writes, seeded],
+                          help="write generated graphs and witnesses")
     gen.add_argument("kind", choices=[
         "complete", "harary", "lovasz-yemini", "tdrigid-pack", "tree-rigid", "gnp",
     ])
@@ -345,70 +349,65 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=0.5)
     gen.add_argument("--s", type=int, default=2)
     gen.add_argument("--dims", default="2", help="comma-separated dimensions")
-    _add_io(gen)
     gen.set_defaults(func=_cmd_gen)
 
-    rank_p = subs.add_parser("rank", help="rigidity or union rank of the input graph")
+    rank_p = subs.add_parser("rank", parents=[reads, seeded],
+                             help="rigidity or union rank of the input graph")
     rank_p.add_argument("--d", type=int, required=True)
     rank_p.add_argument("--t", type=int, default=1)
     rank_p.add_argument("--graphic", action="store_true",
                         help="include the graphic matroid in the union")
-    _add_io(rank_p)
     rank_p.set_defaults(func=_cmd_rank)
 
-    pack_p = subs.add_parser("pack", help="pack t edge-disjoint d-rigid spanning subgraphs")
+    pack_p = subs.add_parser("pack", parents=[reads, writes, seeded],
+                             help="pack t edge-disjoint d-rigid spanning subgraphs")
     pack_p.add_argument("--d", type=int, required=True)
     pack_p.add_argument("--t", type=int, required=True)
-    _add_io(pack_p)
     pack_p.set_defaults(func=_cmd_pack)
 
-    kri = subs.add_parser("kriesell", help="split into spanning tree + d-rigid subgraph")
+    kri = subs.add_parser("kriesell", parents=[reads, writes, seeded],
+                          help="split into spanning tree + d-rigid subgraph")
     kri.add_argument("--d", type=int, required=True)
-    _add_io(kri)
     kri.set_defaults(func=_cmd_kriesell)
 
-    ori = subs.add_parser("orient", help="k-connected orientation")
+    ori = subs.add_parser("orient", parents=[reads, writes, seeded],
+                          help="k-connected orientation")
     ori.add_argument("--k", type=int, required=True)
     ori.add_argument("--R", default="",
                      help="comma-separated deficit vertex ids (default: first ids)")
     ori.add_argument("--verify", action="store_true")
-    _add_io(ori)
     ori.set_defaults(func=_cmd_orient)
 
-    ver = subs.add_parser("verify", help="exact k-connectivity check")
+    ver = subs.add_parser("verify", parents=[reads, seeded],
+                          help="exact k-connectivity check")
     ver.add_argument("--k", type=int, required=True)
     ver.add_argument("--digraph", action="store_true")
-    _add_io(ver)
     ver.set_defaults(func=_cmd_verify)
 
     sim = subs.add_parser("simulate", help="seeded statistical experiments")
     simsubs = sim.add_subparsers(dest="experiment", required=True)
 
-    s_ord = simsubs.add_parser("ordering")
+    s_ord = simsubs.add_parser("ordering", parents=[seeded])
     s_ord.add_argument("--set-size", type=int, required=True)
     s_ord.add_argument("--d", type=int, required=True)
     s_ord.add_argument("--trials", type=int, default=100_000)
-    _add_io(s_ord)
     s_ord.set_defaults(func=_simulate_ordering)
 
-    s_e0 = simsubs.add_parser("e0")
+    s_e0 = simsubs.add_parser("e0", parents=[reads, seeded])
     s_e0.add_argument("--d", type=int, required=True)
     s_e0.add_argument("--t", type=int, required=True)
     s_e0.add_argument("--trials", type=int, default=100)
-    _add_io(s_e0)
     s_e0.set_defaults(func=_simulate_e0)
 
-    s_gpd = simsubs.add_parser("gpd")
+    s_gpd = simsubs.add_parser("gpd", parents=[reads, seeded])
     s_gpd.add_argument("--cap", type=int, required=True)
     s_gpd.add_argument("--trials", type=int, default=20)
     s_gpd.add_argument("--check", action="store_true",
                        help="also test graphic + rigidity independence at d = cap - 1")
-    _add_io(s_gpd)
     s_gpd.set_defaults(func=_simulate_gpd)
 
-    s_ch = simsubs.add_parser("chernoff")
+    s_ch = simsubs.add_parser("chernoff", parents=[seeded])
     s_ch.add_argument("--trials", type=int, default=4000)
-    _add_io(s_ch)
     s_ch.set_defaults(func=_simulate_chernoff)
 
     return parser

@@ -205,8 +205,11 @@ def _parse_header(line: str, line_no: int) -> tuple[int, int]:
     return n, m
 
 
-def _parse_pairs(text) -> tuple[int, list[tuple[int, int, int]]]:
-    """Shared reader: returns n and [(u, v, line_no)] for exactly m edge lines."""
+def _parse_pairs(text) -> tuple[int, list[tuple[int, int]]]:
+    """Shared reader: n and the pairs (u, v) of exactly m edge lines.
+
+    A loop, or a pair whose edge {u, v} an earlier line named, is an error.
+    """
     stream = io.StringIO(text) if isinstance(text, str) else text
     lines = enumerate(stream, start=1)
     header = None
@@ -217,7 +220,8 @@ def _parse_pairs(text) -> tuple[int, list[tuple[int, int, int]]]:
     if header is None:
         raise GraphFormatError("empty input", 1)
     n, m = _parse_header(header[1], header[0])
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for line_no, raw in lines:
         if len(pairs) == m:
             break
@@ -233,7 +237,13 @@ def _parse_pairs(text) -> tuple[int, list[tuple[int, int, int]]]:
             raise GraphFormatError("vertex ids must be integers", line_no) from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex id out of range (n={n})", line_no)
-        pairs.append((u, v, line_no))
+        if u == v:
+            raise GraphFormatError(f"loop at vertex {u}", line_no)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {key}", line_no)
+        seen.add(key)
+        pairs.append((u, v))
     if len(pairs) < m:
         raise GraphFormatError(f"expected {m} edges, found {len(pairs)}", header[0])
     return n, pairs
@@ -242,17 +252,7 @@ def _parse_pairs(text) -> tuple[int, list[tuple[int, int, int]]]:
 def read_graph(text) -> Graph:
     """Parse the edge-list format from a string or text stream."""
     n, pairs = _parse_pairs(text)
-    seen: dict[tuple[int, int], int] = {}
-    edges = []
-    for u, v, line_no in pairs:
-        if u == v:
-            raise GraphFormatError(f"loop at vertex {u}", line_no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {key}", line_no)
-        seen[key] = line_no
-        edges.append(key)
-    return Graph(n, edges)
+    return Graph(n, pairs)
 
 
 def write_graph(graph: Graph) -> str:
@@ -263,18 +263,8 @@ def write_graph(graph: Graph) -> str:
 
 def read_digraph(text) -> Digraph:
     """Parse a digraph: each line 'u v' is the arc u -> v."""
-    n, pairs = _parse_pairs(text)
-    seen: dict[tuple[int, int], int] = {}
-    arcs = []
-    for u, v, line_no in pairs:
-        if u == v:
-            raise GraphFormatError(f"loop at vertex {u}", line_no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {key}", line_no)
-        seen[key] = line_no
-        arcs.append((u, v))
-    parent = Graph(n, [(u, v) for u, v in arcs])
+    n, arcs = _parse_pairs(text)
+    parent = Graph(n, arcs)
     heads = [0] * parent.m
     for u, v in arcs:
         heads[parent.edge_id(u, v)] = v

@@ -8,8 +8,7 @@ independent).  A direct insert is the path of length 0.  A shortest path
 is applied as a chain of swaps; if no path exists the element is spanned
 by the union and stays uncovered for good.  Sources are processed in
 canonical edge order and ties break lexicographically, so runs are
-reproducible.  ``partition`` owns the circuit memo: one dict per part,
-cleared whenever a move touches that part.
+reproducible.  Every circuit query goes to the part's state as it stands.
 
 ``partition`` also owns the dead set.  A search from e that finds no path
 labels a set S, and every element of S is dead for the rest of the run:
@@ -161,14 +160,15 @@ def partition(
         raise ValueError("need at least one oracle")
     order = sorted(set(ground))
     states: list[MatroidState] = [o.new_state() for o in oracles]
-    memos: list[dict[int, set[int] | None]] = [{} for _ in states]
     part_of: dict[int, int] = {}
     dead: set[int] = set()
     full = sum(o.max_rank for o in oracles)
     for e in order:
         if len(part_of) == full:
             break
-        _place(e, states, memos, part_of, dead)
+        moves = _search(e, states, part_of, dead)
+        if moves is not None:
+            _augment(moves, states, part_of)
     if len(part_of) == full:
         dead = set(order)
     parts: list[set[int]] = [set() for _ in states]
@@ -178,53 +178,50 @@ def partition(
                             frozenset(dead))
 
 
-def _place(e, states, memos, part_of, dead) -> None:
-    # breadth-first augmenting search, lexicographic within layers; a part
-    # whose circuit of e is None takes e directly (the path of length 0).
-    # A dead element is never labelled: no augmenting path passes through it.
+def _search(e, states, part_of, dead) -> list[tuple[int, int, int | None]] | None:
+    """Shortest augmenting path from e as moves (part, added, removed), or None.
+
+    Breadth-first, lexicographic within layers; the first part whose circuit
+    of x is None is the sink (the path of length 0 when x is e).  A dead
+    element is never labelled; a failed search marks every labelled one dead.
+    """
     prev: dict[int, tuple[int, int]] = {e: (-1, -1)}
     frontier = [e]
-    found: tuple[int, int] | None = None
-    while frontier and found is None:
+    while frontier:
         nxt: list[int] = []
         for x in frontier:
-            for i, memo in enumerate(memos):
+            for i, state in enumerate(states):
                 if part_of.get(x) == i:
                     continue
-                if x not in memo:
-                    memo[x] = states[i].circuit(x)
-                circ = memo[x]
+                circ = state.circuit(x)
                 if circ is None:
-                    found = (x, i)
-                    break
+                    moves = [(i, x, None)]
+                    while prev[x] != (-1, -1):
+                        px, m = prev[x]
+                        moves.append((m, px, x))
+                        x = px
+                    return moves
                 for y in circ:
                     if y not in prev and y not in dead:
                         prev[y] = (x, i)
                         nxt.append(y)
-            if found:
-                break
         frontier = sorted(nxt)
-    if found is None:
-        dead.update(prev)
-        return
+    dead.update(prev)
+    return None
 
-    x, sink = found
-    moves: list[tuple[int, int, int | None]] = [(sink, x, None)]
-    cur = x
-    while prev[cur] != (-1, -1):
-        px, m = prev[cur]
-        moves.append((m, px, cur))
-        cur = px
 
+def _augment(moves, states, part_of) -> None:
+    """Apply a path: every removal first, then every insert.
+
+    Each removed element is the added element of the move before it, so
+    recording the added elements' parts updates ``part_of`` in full.
+    """
     for (i, _, rem) in moves:
-        memos[i].clear()
         if rem is not None:
             states[i].remove(rem)
     for (i, add, _) in moves:
         if not states[i].insert(add):
             raise OracleInconsistencyError(f"part {i} refused element {add} on a path")
-    # each removed element is the added element of the move before it
-    for (i, add, _) in moves:
         part_of[add] = i
 
 

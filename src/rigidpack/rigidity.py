@@ -130,16 +130,6 @@ class RigidityOracle:
         ids = frozenset(range(self.graph.m)) if edge_ids is None else frozenset(edge_ids)
         return self.rank(ids) == self.max_rank
 
-    def is_linked(self, u: int, v: int, edge_ids: Iterable[int]) -> bool:
-        """True iff adding the (virtual) edge uv leaves the rank unchanged."""
-        if u == v:
-            raise ValueError("linkedness needs two distinct vertices")
-        basis = RowBasis(self.ncols)
-        for e in sorted(set(edge_ids)):
-            basis.insert(self.row(e))
-        probe = rigidity_matrix_row(self.realization, self.graph.n, u, v)
-        return not any(basis.residue(probe))
-
     def extract_base(self, edge_ids: Iterable[int]) -> list[int]:
         """Greedy maximal independent subset, scanned in edge-index order.
 

@@ -153,6 +153,7 @@ def refuse_inserts_after_removal(monkeypatch):
     ["kriesell", "--d", "2"],
     ["rank", "--d", "2", "--t", "2"],
     ["orient", "--k", "2"],
+    ["rank", "--d", "2", "--graphic"],      # partitions even at t = 1
 ])
 def test_kernel_fault_is_a_report_not_a_traceback(capsys, monkeypatch, argv):
     refuse_inserts_after_removal(monkeypatch)
@@ -308,6 +309,29 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert read_graph(target.read_text()).m == 10
     assert json.loads(out.strip())["stats"]["m"] == 10
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["rank", "--d", "2"], "-o"),
+    (["verify", "--k", "2"], "--output"),
+    (["simulate", "e0", "--d", "1", "--t", "1"], "-o"),
+    (["simulate", "gpd", "--cap", "3"], "-o"),
+    (["simulate", "ordering", "--set-size", "10", "--d", "3"], "-o"),
+    (["simulate", "chernoff"], "-i"),
+    (["simulate", "ordering", "--set-size", "10", "--d", "3"], "--input"),
+    (["gen", "complete", "--n", "5"], "-i"),
+])
+def test_io_flags_only_where_read(tmp_path, capsys, monkeypatch, argv, flag):
+    # a command that never reads (or never writes) an object rejects the
+    # flag as a usage error, and leaves the named file alone
+    path = tmp_path / "graph.edges"
+    path.write_text(write_graph(complete_graph(5)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(complete_graph(5))))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert path.read_text() == write_graph(complete_graph(5))
 
 
 K17 = ["gen", "complete", "--n", "17"]

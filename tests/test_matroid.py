@@ -296,8 +296,9 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
                 refused = []
                 result = partition([CountingOracle(o, refused) for o in oracles], range(g.m))
                 assert result.total == total
-                # every insert applies a path found on fresh circuits: a stale
-                # memo entry reading "independent" would show as a refused insert
+                # every path is found on circuits the states give as they stand,
+                # and a shortest path keeps every part independent: no insert
+                # on it is refused, even under a colliding realization
                 assert refused == []
                 assert_dead_set_closed(oracles, result)
     assert zero_rows > 0
@@ -307,13 +308,13 @@ def test_dead_set_prunes_circuit_queries():
     # 229 edges, 114 placed: 39 searches fail, and the elements they label
     # are never queried again; both parts are bases after the 153rd edge, so
     # the last 76 edges start no search.  With the dead set alone this
-    # partition makes 514 circuit queries, with neither 814.
+    # partition makes 524 circuit queries, with neither 8096.
     g = gnp_graph(30, 0.5, seed=4)
     queried = []
     oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
     result = partition([CountingOracle(o, [], queried) for o in oracles], range(g.m))
     assert result.total == 2 * complete_rank(30, 2) == 114
-    assert len(queried) == 358 < 514 < 814
+    assert len(queried) == 364 < 524 < 8096
     assert result.dead == result.ground
     assert_dead_set_closed(oracles, result)
 

@@ -114,19 +114,6 @@ def independent_spanning_connected(g):
     return len(seen) == g.n
 
 
-def test_is_linked_examples():
-    k4 = complete_graph(4)
-    oracle = RigidityOracle(k4, 2)
-    assert oracle.is_linked(0, 1, range(5))        # endpoints of a kept edge
-    diag = k4.edge_id(1, 2)
-    rest = [e for e in range(6) if e != diag]
-    assert oracle.is_linked(1, 2, rest)            # opposite corners of K_4 minus diagonal
-    iso = Graph(4, [(0, 1)])
-    assert not RigidityOracle(iso, 2).is_linked(2, 3, [0])
-    with pytest.raises(ValueError):
-        oracle.is_linked(1, 1, range(5))
-
-
 def test_extract_base_greedy():
     k4 = complete_graph(4)
     oracle = RigidityOracle(k4, 2)
