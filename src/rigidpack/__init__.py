@@ -56,8 +56,7 @@ from .orientation import (
     OrientationCertificate,
     OrientationInfeasibleError,
     OrientationReport,
-    PackingInfeasibleError,
-    PackingUnverifiedError,
+    PackingError,
     balanced_orientation,
     deficits_from_vertices,
     hakimi_orientation,
@@ -83,7 +82,6 @@ from .stochastic import (
     back_degree_subgraph,
     binomial_tail_bound,
     binomial_tail_check,
-    check_back_degree_independent,
     expected_min_preceding,
     independent_subgraph_stats,
     mean_stderr,

@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 
-from .connectivity import is_k_connected
+from .connectivity import CutCertificate, is_k_connected
 from .generators import (
     complete_graph,
     complete_rigid_packing,
@@ -48,17 +48,11 @@ from .matroid import (
     pack_tree_rigid,
     rank_union,
 )
-from .orientation import (
-    OrientationError,
-    PackingInfeasibleError,
-    PackingUnverifiedError,
-    k_connected_orientation,
-)
+from .orientation import OrientationError, PackingError, k_connected_orientation
 from .rigidity import RigidityOracle
 from .stochastic import (
     back_degree_subgraph,
     binomial_tail_check,
-    check_back_degree_independent,
     expected_min_preceding,
     independent_subgraph_stats,
     mean_stderr,
@@ -100,19 +94,8 @@ def _emit_object(args, text: str) -> None:
             fh.write(text)
 
 
-def _cert_dict(cert) -> dict:
-    out = {"kind": cert.kind}
-    if getattr(cert, "separator", None) is not None:
-        out["separator"] = sorted(cert.separator)
-        out["pair"] = list(cert.pair)
-    if getattr(cert, "violating_set", None) is not None:
-        out["violating_set"] = sorted(cert.violating_set)
-        out["induced_edges"] = cert.induced_edges
-        out["budget"] = cert.budget
-    for field in ("edge_total", "target_total"):
-        if getattr(cert, field, None) is not None:
-            out[field] = getattr(cert, field)
-    return out
+def _cert_dict(cert: CutCertificate) -> dict:
+    return {"kind": cert.kind, "separator": sorted(cert.separator), "pair": list(cert.pair)}
 
 
 def _cmd_gen(args) -> int:
@@ -181,7 +164,7 @@ def _report_packing(args, graph: Graph, result, obj: str) -> int:
         "deficiency": result.deficiency,
     }
     print(_report(obj, args.seed, stats))
-    return 0 if result.feasible and result.verified else 1
+    return 0 if result.verified else 1
 
 
 def _cmd_pack(args) -> int:
@@ -205,7 +188,7 @@ def _cmd_orient(args) -> int:
         oriented, report = k_connected_orientation(
             graph, args.k, args.seed, deficit_vertices, verify=args.verify
         )
-    except (PackingInfeasibleError, PackingUnverifiedError) as exc:
+    except PackingError as exc:
         kind = "packing-unverified" if exc.packing.feasible else "packing-deficiency"
         stats = {
             "k": args.k,
@@ -273,28 +256,24 @@ def _simulate_e0(args) -> int:
 def _simulate_gpd(args) -> int:
     graph = read_graph(_read_input(args))
     root = SeededStream(args.seed)
-    sizes = []
-    independent = 0
-    checked = 0
+    subgraphs = []
     for i in range(args.trials):
         rng = root.child(i).rng()
         perm = list(range(graph.n))
         rng.shuffle(perm)
-        ordering = VertexOrdering(perm)
-        built = back_degree_subgraph(graph, ordering, args.cap)
-        sizes.append(float(len(built.edges)))
-        if args.check:
-            checked += 1
-            if check_back_degree_independent(graph, ordering, args.cap - 1, args.seed):
-                independent += 1
-    mean, se = mean_stderr(sizes)
+        subgraphs.append(back_degree_subgraph(graph, VertexOrdering(perm), args.cap).edges)
+    mean, se = mean_stderr([float(len(edges)) for edges in subgraphs])
     bound = float(args.cap * graph.n)
     stats = {
         "estimate": mean, "stderr": se, "bound": bound,
         "verdict": mean - 3 * se >= bound, "trials": args.trials,
     }
     if args.check:
-        stats["independent_fraction"] = independent / max(checked, 1)
+        # one realization for every trial: the root stream of the seed
+        # (salt 0), which no trial draws; trial i draws child stream i + 1
+        oracles = [GraphicOracle(graph), RigidityOracle(graph, args.cap - 1, args.seed)]
+        independent = sum(rank_union(oracles, edges) == len(edges) for edges in subgraphs)
+        stats["independent_fraction"] = independent / args.trials
     print(_report("back-degree-size", args.seed, stats))
     return 0
 

@@ -190,8 +190,8 @@ class TightExample:
         return self.rank_upper_bound < self.spanning_requirement
 
 
-def lovasz_yemini(d_list: list[int], s: int, host: Graph | None = None) -> TightExample:
-    """Split every vertex of a K-regular K-connected host into K leaves.
+def lovasz_yemini(d_list: list[int], s: int) -> TightExample:
+    """Split every vertex of the Harary host H(K, 2s) into K leaves.
 
     Each host vertex v becomes a clique on K copies (ids v*K .. v*K+K-1);
     every host edge lands between dedicated copies, one per incident slot
@@ -205,13 +205,7 @@ def lovasz_yemini(d_list: list[int], s: int, host: Graph | None = None) -> Tight
     if s < 1:
         raise ValueError("s must be at least 1")
     k_conn = sum(d * (d + 1) for d in d_list) - 1
-    if host is None:
-        host = harary_graph(k_conn, 2 * s)
-    else:
-        if host.n != 2 * s:
-            raise ValueError("override host must have 2s vertices")
-        if any(host.degree(v) != k_conn for v in range(host.n)):
-            raise ValueError(f"override host must be {k_conn}-regular")
+    host = harary_graph(k_conn, 2 * s)
     edges = []
     for v in range(host.n):
         base = v * k_conn

@@ -1,7 +1,8 @@
 """Exact linear algebra over a fixed prime field.
 
 Everything downstream (rigidity rank queries, matroid partition) reduces to
-row elimination over GF(PRIME).  The modulus is the Mersenne prime 2^61 - 1,
+row elimination over GF(PRIME).  The modulus is the Mersenne prime 2^61 - 1
+(``PRIME_BITS`` = 61; every width below derives from it and ``SLOT_BITS``),
 the largest prime below 2^61, so a random specialization of an m-row generic
 matrix loses rank with probability at most m / PRIME (Schwartz-Zippel), far
 below 2^-40 at the scales this package handles.
@@ -67,13 +68,17 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-PRIME = (1 << 61) - 1
+PRIME_BITS = 61
+PRIME = (1 << PRIME_BITS) - 1
 
 SLOT_BITS = 128
 _SLOT_BYTES = SLOT_BITS // 8
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-_ENTRY_BYTES = 8  # a canonical entry (< 2^61) fits the low bytes of its slot
-FOLD = 63  # products a slot holds on top of one canonical entry (module notes)
+# a canonical entry (< 2^PRIME_BITS) fits the low bytes of its slot
+_ENTRY_BYTES = (PRIME_BITS + 7) // 8
+# products a slot holds on top of one canonical entry (module notes): the
+# largest f with 2^PRIME_BITS + f * 2^(2 * PRIME_BITS) < 2^SLOT_BITS
+FOLD = (1 << (SLOT_BITS - 2 * PRIME_BITS)) - 1
 
 
 class RowBasis:
@@ -108,7 +113,7 @@ class RowBasis:
         self._ones = int.from_bytes(
             (b"\x01" + bytes(_SLOT_BYTES - 1)) * max(ncols, track_width), "little")
         self._low = self._ones * PRIME
-        self._high = self._ones * ((1 << (SLOT_BITS - 61)) - 1)
+        self._high = self._ones * ((1 << (SLOT_BITS - PRIME_BITS)) - 1)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -116,12 +121,12 @@ class RowBasis:
     def _canonical(self, x: int) -> int:
         """Every slot of x reduced into [0, PRIME) by Mersenne folding."""
         low, high, ones = self._low, self._high, self._ones
-        hi = (x >> 61) & high
+        hi = (x >> PRIME_BITS) & high
         while hi:
             x = (x & low) + hi
-            hi = (x >> 61) & high
+            hi = (x >> PRIME_BITS) & high
         # every slot is now at most PRIME; send PRIME itself to 0
-        top = ((x + ones) >> 61) & ones
+        top = ((x + ones) >> PRIME_BITS) & ones
         return x - top * PRIME if top else x
 
     def _clean(self, pivot: int) -> None:
@@ -230,8 +235,8 @@ class RowBasis:
             self._saved = (entries, work, hits)
             return None
         track = self._sum(0, hits, self.tracks)
-        # bit 61 of a canonical slot plus PRIME is set iff the slot is nonzero
-        flags = ((track + self._low) >> 61) & self._ones
+        # bit PRIME_BITS of a canonical slot plus PRIME is set iff the slot is nonzero
+        flags = ((track + self._low) >> PRIME_BITS) & self._ones
         selectors = flags.to_bytes(self.track_width * _SLOT_BYTES, "little")[::_SLOT_BYTES]
         return set(compress(self.slot_member, selectors))
 

@@ -58,6 +58,7 @@ class IndependenceOracle(Protocol):
     @property
     def max_rank(self) -> int: ...
     def new_state(self) -> MatroidState: ...
+    def verify_independent(self, *edge_sets: Iterable[int]) -> bool: ...
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -74,6 +75,10 @@ class GraphicOracle:
     def max_rank(self) -> int:
         """A forest has at most n - 1 edges; one with n - 1 is a spanning tree."""
         return max(self.graph.n - 1, 0)
+
+    def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
+        """Whether every given set is a forest; exact (union-find)."""
+        return all(independent_d1(self.graph, ids) for ids in edge_sets)
 
     def new_state(self) -> "ForestState":
         return ForestState(self.graph)
@@ -232,11 +237,14 @@ def rank_union(oracles: Sequence[IndependenceOracle], ground: Iterable[int]) -> 
 
 @dataclass(frozen=True)
 class PackingResult:
-    """Outcome of a spanning-subgraph packing attempt."""
+    """Outcome of a spanning-subgraph packing attempt.
+
+    ``verified`` holds only for a feasible packing whose parts passed their
+    oracles' re-checks.
+    """
 
     parts: tuple[frozenset[int], ...]
     target_sizes: tuple[int, ...]
-    feasible: bool
     verified: bool
     seed: int
 
@@ -245,8 +253,28 @@ class PackingResult:
         return tuple(len(p) for p in self.parts)
 
     @property
+    def feasible(self) -> bool:
+        return self.sizes == self.target_sizes
+
+    @property
     def deficiency(self) -> int:
         return sum(self.target_sizes) - sum(self.sizes)
+
+
+def _pack(graph: Graph, oracles: Sequence[IndependenceOracle], seed: int) -> PackingResult:
+    """Partition every edge into one part per oracle; re-check a full result.
+
+    Each part's target is its oracle's ``max_rank``.  Each distinct oracle
+    re-checks all of its parts in one ``verify_independent`` call, so the t
+    rigid parts of ``pack_rigid`` share one fresh realization.
+    """
+    parts = partition(oracles, range(graph.m)).parts
+    targets = tuple(o.max_rank for o in oracles)
+    full = tuple(map(len, parts)) == targets
+    verified = full and all(
+        o.verify_independent(*(p for p, q in zip(parts, oracles) if q is o))
+        for o in dict.fromkeys(oracles))
+    return PackingResult(parts, targets, verified, seed)
 
 
 def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
@@ -263,12 +291,7 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
         raise ValueError("need at least d+1 vertices")
     if t < 1:
         raise ValueError("t must be at least 1")
-    oracle = RigidityOracle(graph, d, seed, salt=1)
-    result = partition([oracle] * t, range(graph.m))
-    target = oracle.max_rank
-    feasible = all(len(p) == target for p in result.parts)
-    verified = feasible and oracle.verify_independent(*result.parts)
-    return PackingResult(result.parts, (target,) * t, feasible, verified, seed)
+    return _pack(graph, [RigidityOracle(graph, d, seed, salt=1)] * t, seed)
 
 
 def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
@@ -277,14 +300,8 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
     parts[0] is the tree candidate, parts[1] the rigid one; feasible exactly
     when the union of the graphic and rigidity matroids has rank
     (n - 1) + (d*n - (d+1 choose 2)).  A feasible split is re-checked as
-    ``pack_rigid``'s is.
+    ``pack_rigid``'s is, the tree exactly.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
-    oracles: list = [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=1)]
-    result = partition(oracles, range(graph.m))
-    targets = tuple(o.max_rank for o in oracles)
-    feasible = all(len(p) == t for p, t in zip(result.parts, targets))
-    verified = (feasible and independent_d1(graph, result.parts[0])
-                and oracles[1].verify_independent(result.parts[1]))
-    return PackingResult(result.parts, targets, feasible, verified, seed)
+    return _pack(graph, [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=1)], seed)

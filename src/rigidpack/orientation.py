@@ -68,23 +68,19 @@ class OrientationError(Exception):
     pass
 
 
-class PackingInfeasibleError(OrientationError):
-    """The rigid packing underlying the pipeline fell short; report attached."""
+class PackingError(OrientationError):
+    """The packing under the pipeline fell short or failed its re-check.
+
+    ``packing.feasible`` tells the two apart: a full packing that fails its
+    fresh-realization re-check is a kernel fault.
+    """
 
     def __init__(self, packing: PackingResult):
         self.packing = packing
         super().__init__(
-            f"packing deficiency {packing.deficiency}: sizes {packing.sizes} "
-            f"vs targets {packing.target_sizes}"
+            f"packing of sizes {packing.sizes} vs targets {packing.target_sizes} "
+            + ("failed its re-check" if packing.feasible else "fell short")
         )
-
-
-class PackingUnverifiedError(OrientationError):
-    """A full packing failed its fresh-realization re-check: a kernel fault."""
-
-    def __init__(self, packing: PackingResult):
-        self.packing = packing
-        super().__init__(f"packing of sizes {packing.sizes} failed its re-check")
 
 
 class OrientationInfeasibleError(OrientationError):
@@ -218,7 +214,7 @@ def rigid_base_spec(n: int, d: int, deficits: Sequence[int]) -> DegreeSpec:
 
 
 def rigid_base_orientation(
-    base: Graph, d: int, deficits: Sequence[int] | None = None, seed: int = 0
+    base: Graph, d: int, deficits: Sequence[int], seed: int = 0
 ) -> Digraph:
     """Orient a minimally d-rigid graph to the deficit in-degree spec.
 
@@ -227,14 +223,6 @@ def rigid_base_orientation(
     input was not minimally d-rigid, or the rank oracle misfired.  The two
     are told apart with a fresh-realization independence check.
     """
-    if deficits is None:
-        total = (d + 1) * d // 2
-        if base.n < total:
-            raise ValueError(
-                f"default deficit set needs at least {total} vertices; "
-                "pass explicit deficits for smaller graphs"
-            )
-        deficits = spread_deficits(base.n, d)
     expected = d * base.n - (d + 1) * d // 2
     if base.m != expected:
         raise OrientationInfeasibleError(
@@ -330,11 +318,11 @@ def k_connected_orientation(
     k = 1 uses the depth-first orientation.  For k >= 2 the pipeline packs
     two minimally (4k-4)-rigid spanning subgraphs, orients one to the
     deficit in-degree spec, the other to the same spec with all arcs then
-    reversed, and the leftovers low to high.  Raises
-    PackingInfeasibleError (with the achieved partition) when the packing
-    falls short, and PackingUnverifiedError when a full packing fails its
-    re-check; the orientation itself is returned even when verification
-    is requested and fails, with ``verified`` False in the report.
+    reversed, and the leftovers low to high.  Raises PackingError (with
+    the achieved partition) when the packing falls short or a full packing
+    fails its re-check; the orientation itself is returned even when
+    verification is requested and fails, with ``verified`` False in the
+    report.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -349,10 +337,8 @@ def k_connected_orientation(
     else:
         deficits = spread_deficits(graph.n, d)
     packing = pack_rigid(graph, d, 2, seed)
-    if not packing.feasible:
-        raise PackingInfeasibleError(packing)
     if not packing.verified:
-        raise PackingUnverifiedError(packing)
+        raise PackingError(packing)
 
     heads = [max(u, v) for u, v in graph.edges]        # leftovers: low -> high
     base_edges = [sorted(p) for p in packing.parts]

@@ -16,8 +16,8 @@ Two seeded constructions are implemented exactly and instrumented:
   neighborhood is not a clique, keep D+1 including the lexicographically
   first nonadjacent pair.  With cap d+1 the result is independent in the
   union of the graphic and d-rigidity matroids whenever nonadjacent pairs
-  are never rank-linked, which ``check_back_degree_independent`` tests on
-  concrete instances.
+  are never rank-linked, which ``simulate gpd --check`` tests on concrete
+  instances.
 
 Everything takes an explicit SeededStream; trials are embarrassingly
 parallel and bit-reproducible.
@@ -35,9 +35,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .graph import Digraph, Graph, VertexOrdering, back_neighbors
-from .matroid import GraphicOracle, rank_union
 from .orientation import balanced_orientation
-from .rigidity import RigidityOracle
 from .stream import SeededStream
 
 
@@ -241,19 +239,6 @@ def back_degree_subgraph(graph: Graph, ordering: VertexOrdering, cap: int) -> Ba
                 rules[v] = "extended"
         edges.update(graph.edge_id(v, u) for u in keep)
     return BackDegreeSubgraph(cap, frozenset(edges), tuple(rules))
-
-
-def check_back_degree_independent(
-    graph: Graph, ordering: VertexOrdering, d: int, seed: int = 0
-) -> bool:
-    """Test the cap d+1 subgraph for independence in graphic + d-rigidity union.
-
-    The realization draws the root stream of ``seed`` (salt 0), which is
-    no trial's: ``simulate gpd`` hands trial i the child stream i + 1.
-    """
-    built = back_degree_subgraph(graph, ordering, d + 1)
-    oracles = [GraphicOracle(graph), RigidityOracle(graph, d, seed)]
-    return rank_union(oracles, built.edges) == len(built.edges)
 
 
 def binomial_tail_bound(n: int, p: float, eta: float) -> float:

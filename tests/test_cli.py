@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rigidpack import rigidity, stream
+from rigidpack import matroid, rigidity, stream
 from rigidpack.cli import build_parser, main
 from rigidpack.generators import complete_graph, cycle_graph
 from rigidpack.graph import read_digraph, read_graph, write_graph
@@ -86,6 +86,20 @@ def test_kriesell(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["kriesell", "--d", "2"], stdin=text)
     assert code == 0
     assert last_json(out)["stats"]["sizes"] == [5, 9]
+
+
+@pytest.mark.parametrize("fault", ["graphic", "rigidity"])
+def test_kriesell_failed_recheck_exits_1(capsys, monkeypatch, fault):
+    if fault == "graphic":
+        monkeypatch.setattr(matroid, "independent_d1", lambda graph, ids: False)
+    else:
+        monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
+    text = write_graph(complete_graph(6))
+    code, out = run_cli(capsys, monkeypatch, ["kriesell", "--d", "2"], stdin=text)
+    assert code == 1
+    stats = last_json(out)["stats"]
+    assert stats["feasible"] is True and stats["verified"] is False
+    assert stats["sizes"] == [5, 9] and stats["deficiency"] == 0
 
 
 def test_orient_verify_and_pipe(capsys, monkeypatch):

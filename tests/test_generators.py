@@ -160,13 +160,6 @@ def test_lovasz_yemini_two_trees():
     assert rank_union(oracles, range(g.m)) < 2 * (g.n - 1)
 
 
-def test_lovasz_yemini_host_override_guard():
-    with pytest.raises(ValueError):
-        lovasz_yemini([2], 4, host=complete_graph(8))       # not 5-regular
-    example = lovasz_yemini([2], 3, host=harary_graph(5, 6))
-    assert example.graph.n == 30
-
-
 def test_lovasz_yemini_copies_have_external_degree_one():
     example = lovasz_yemini([2], 4)
     k = example.connectivity

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from rigidpack import linalg
 from rigidpack.generators import complete_graph, gnp_graph
-from rigidpack.linalg import FOLD, PRIME, SLOT_BITS, RowBasis
+from rigidpack.linalg import FOLD, PRIME, PRIME_BITS, SLOT_BITS, RowBasis
 from rigidpack.matroid import pack_rigid
 from rigidpack.rigidity import Realization, rigidity_matrix_row
 
@@ -396,6 +397,15 @@ def test_row_basis_slot_bound_under_pending_updates():
         assert basis.circuit(row) == {m}
     probe = [(a + 5 * b) % PRIME for a, b in zip(raw[70], raw[72])]
     assert basis.circuit(probe) == brute_circuit(live, probe) == {70, 72}
+
+
+def test_fold_is_the_largest_count_a_slot_holds():
+    # the slot bound of the module notes, read off the constants alone:
+    # one canonical entry plus FOLD products below 2^(2 * PRIME_BITS)
+    entry, product, slot = 1 << PRIME_BITS, 1 << (2 * PRIME_BITS), 1 << SLOT_BITS
+    assert entry + FOLD * product < slot <= entry + (FOLD + 1) * product
+    assert PRIME == entry - 1
+    assert entry <= 1 << (8 * linalg._ENTRY_BYTES) <= slot
 
 
 def test_row_basis_folds_wide_sums():

@@ -393,3 +393,21 @@ def test_pack_rigid_draws_one_realization_and_one_recheck(monkeypatch):
     result = pack_rigid(complete_graph(12), 2, 3, seed=1)
     assert result.feasible and result.verified
     assert len(drawn) == 2              # one for all three parts, one re-check
+
+
+def test_tree_rigid_packing_draws_one_realization_and_one_recheck(monkeypatch):
+    drawn = count_realizations(monkeypatch)
+    result = pack_tree_rigid(complete_graph(8), 2, seed=1)
+    assert result.feasible and result.verified
+    assert drawn == [1, 1 + (1 << 20)]  # the tree is re-checked exactly
+
+
+def test_graphic_verify_independent_is_exact():
+    g = complete_graph(4)
+    oracle = GraphicOracle(g)
+    star = [g.edge_id(0, v) for v in (1, 2, 3)]
+    triangle = [g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(0, 2)]
+    assert oracle.verify_independent(star)
+    assert oracle.verify_independent(star, [g.edge_id(1, 2)], [])
+    assert not oracle.verify_independent(triangle)
+    assert not oracle.verify_independent(star, triangle)

@@ -8,7 +8,7 @@ from rigidpack.orientation import (
     DegreeSpec,
     OrientationCertificate,
     OrientationInfeasibleError,
-    PackingUnverifiedError,
+    PackingError,
     balanced_orientation,
     deficits_from_vertices,
     hakimi_orientation,
@@ -164,7 +164,7 @@ def test_rigid_base_orientation_k10_base():
     base = RigidityOracle(g, 2).extract_base(range(g.m))
     sub = g.subgraph(base)
     assert sub.m == 17
-    oriented = rigid_base_orientation(sub, 2)
+    oriented = rigid_base_orientation(sub, 2, spread_deficits(10, 2))
     degs = [oriented.in_degree(v) for v in range(10)]
     assert degs == [1, 1, 1] + [2] * 7
 
@@ -211,7 +211,7 @@ def test_k1_orientation_pipeline():
 
 def test_unverified_packing_raises(monkeypatch):
     monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
-    with pytest.raises(PackingUnverifiedError) as info:
+    with pytest.raises(PackingError) as info:
         k_connected_orientation(complete_graph(17), 2)
     assert info.value.packing.feasible and not info.value.packing.verified
 
@@ -220,6 +220,6 @@ def test_reversed_orientation_meets_outdegree_spec():
     g = complete_graph(10)
     base = RigidityOracle(g, 2).extract_base(range(g.m))
     sub = g.subgraph(base)
-    flipped = rigid_base_orientation(sub, 2).reversed()
+    flipped = rigid_base_orientation(sub, 2, spread_deficits(10, 2)).reversed()
     degs = [flipped.out_degree(v) for v in range(10)]
     assert degs == [1, 1, 1] + [2] * 7

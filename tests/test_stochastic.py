@@ -12,13 +12,20 @@ from rigidpack.stochastic import (
     back_degree_subgraph,
     binomial_tail_bound,
     binomial_tail_check,
-    check_back_degree_independent,
     expected_min_preceding,
     independent_subgraph_stats,
     mean_stderr,
     sample_independent_subgraph,
 )
 from rigidpack.stream import CHILDREN, SeededStream
+
+
+def back_degree_independent(g, order, d, seed=0):
+    """The ``simulate gpd --check`` test: is the cap d+1 subgraph independent
+    in the union of the graphic and d-rigidity matroids?"""
+    built = back_degree_subgraph(g, order, d + 1)
+    oracles = [GraphicOracle(g), RigidityOracle(g, d, seed)]
+    return rank_union(oracles, built.edges) == len(built.edges)
 
 
 def test_mean_stderr():
@@ -192,14 +199,14 @@ def test_back_degree_independent_on_complete_inputs():
     for trial in range(8):
         perm = list(range(8))
         rng.shuffle(perm)
-        assert check_back_degree_independent(g, VertexOrdering(perm), 2, seed=trial)
+        assert back_degree_independent(g, VertexOrdering(perm), 2, seed=trial)
 
 
 def test_back_degree_independent_d1_two_forests():
     g = complete_graph(6)
     order = VertexOrdering(list(range(6)))
     built = back_degree_subgraph(g, order, 2)
-    assert check_back_degree_independent(g, order, 1)
+    assert back_degree_independent(g, order, 1)
     # explicit split: union of graphic + graphic covers the kept edges
     assert rank_union([GraphicOracle(g), GraphicOracle(g)], built.edges) == len(built.edges)
 
@@ -208,7 +215,7 @@ def test_back_degree_k5_plus_pendant():
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)]
     g = Graph(6, edges)
     order = VertexOrdering([0, 1, 2, 3, 4, 5])   # clique first, pendant last
-    assert check_back_degree_independent(g, order, 2)
+    assert back_degree_independent(g, order, 2)
 
 
 def test_binomial_tail():
