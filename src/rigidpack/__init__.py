@@ -46,6 +46,7 @@ from .matroid import (
     MatroidPartition,
     OracleInconsistencyError,
     PackingResult,
+    guarded_partition,
     pack_rigid,
     pack_tree_rigid,
     partition,

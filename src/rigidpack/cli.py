@@ -11,7 +11,10 @@ emitted objects pipe straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
 feasibility failure with the certificate in the report, 2 usage or parse
-errors.  A kernel fault detected inside a matroid partition (``pack``,
+errors.  A short rank or packing is confirmed or reseeded under a second
+realization before it is reported (see ``matroid``); the packing and
+orientation reports then carry ``stats.guard``, and ``rank`` writes one
+line to stderr.  A kernel fault detected inside a matroid partition (``pack``,
 ``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``, ``simulate gpd
 --check``) exits 1 with a ``partition-failure`` report whose certificate
 kind is ``kernel-fault``.
@@ -44,6 +47,7 @@ from .graph import (
 from .matroid import (
     GraphicOracle,
     OracleInconsistencyError,
+    guarded_partition,
     pack_rigid,
     pack_tree_rigid,
     rank_union,
@@ -144,12 +148,21 @@ def _cmd_rank(args) -> int:
     ground = range(graph.m)
     oracle = RigidityOracle(graph, args.d, args.seed, salt=1)
     if args.t == 1 and not args.graphic:
-        value = oracle.rank(ground)
+        base, guard = oracle.guarded_base(ground)
+        value = len(base)
     else:
         graphic = [GraphicOracle(graph)] if args.graphic else []
-        value = rank_union(graphic + [oracle] * args.t, ground)
+        result, _, guard = guarded_partition(graphic + [oracle] * args.t, ground)
+        value = result.total
     print(value)
+    if guard is not None:
+        print(f"rank: short rank {guard} under a second realization", file=sys.stderr)
     return 0
+
+
+def _guard_stats(guard: str | None) -> dict:
+    """The ``guard`` key of a report, present only when the guard ran."""
+    return {} if guard is None else {"guard": guard}
 
 
 def _report_packing(args, graph: Graph, result, obj: str) -> int:
@@ -162,6 +175,7 @@ def _report_packing(args, graph: Graph, result, obj: str) -> int:
         "feasible": result.feasible,
         "verified": result.verified,
         "deficiency": result.deficiency,
+        **_guard_stats(result.guard),
     }
     print(_report(obj, args.seed, stats))
     return 0 if result.verified else 1
@@ -195,6 +209,7 @@ def _cmd_orient(args) -> int:
             "sizes": list(exc.packing.sizes),
             "targets": list(exc.packing.target_sizes),
             "deficiency": exc.packing.deficiency,
+            **_guard_stats(exc.packing.guard),
         }
         print(_report("orientation-failure", args.seed, stats, [{"kind": kind}]))
         return 1
@@ -212,6 +227,7 @@ def _cmd_orient(args) -> int:
         "base_sizes": list(report.base_sizes) if report.base_sizes else None,
         "leftover": report.leftover,
         "verified": report.verified,
+        **_guard_stats(report.guard),
     }
     print(_report("orientation", args.seed, stats))
     return 1 if args.verify and not report.verified else 0
@@ -272,7 +288,10 @@ def _simulate_gpd(args) -> int:
         # one realization for every trial: the root stream of the seed
         # (salt 0), which no trial draws; trial i draws child stream i + 1
         oracles = [GraphicOracle(graph), RigidityOracle(graph, args.cap - 1, args.seed)]
-        independent = sum(rank_union(oracles, edges) == len(edges) for edges in subgraphs)
+        # more edges than the union's rank bound are dependent by counting
+        room = sum(o.max_rank for o in oracles)
+        independent = sum(len(edges) <= room and rank_union(oracles, edges) == len(edges)
+                          for edges in subgraphs)
         stats["independent_fraction"] = independent / args.trials
     print(_report("back-degree-size", args.seed, stats))
     return 0

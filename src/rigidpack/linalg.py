@@ -1,19 +1,22 @@
 """Exact linear algebra over a fixed prime field.
 
 Everything downstream (rigidity rank queries, matroid partition) reduces to
-row elimination over GF(PRIME).  The modulus is the Mersenne prime 2^61 - 1
-(``PRIME_BITS`` = 61; every width below derives from it and ``SLOT_BITS``),
-the largest prime below 2^61, so a random specialization of an m-row generic
-matrix loses rank with probability at most m / PRIME (Schwartz-Zippel), far
-below 2^-40 at the scales this package handles.
+row elimination over GF(PRIME).  The modulus is the Mersenne prime 2^31 - 1
+(``PRIME_BITS`` = 31; every width below derives from it and ``SLOT_BITS``).
+A random specialization of an m-row generic matrix loses rank with
+probability at most m / PRIME, about m / 2^31 (Schwartz-Zippel), which is
+not negligible on its own: ``rigidity`` and ``matroid`` confirm or reseed
+every short verdict under a second, independent realization, so a
+reported short verdict is wrong with probability at most about
+(m / 2^31)^2.
 
 Rows are "packed": one big integer holds one field entry per SLOT_BITS-wide
 slot, so a row operation is one scalar multiply and one add on a CPython
 big int, which runs in C.  Elimination only ever *adds* multiples of rows
 (coefficients are negated mod PRIME first), so slot values stay
 nonnegative.  Slots are brought back into [0, PRIME) all at once by SWAR
-Mersenne folding: 2^61 = 1 (mod PRIME), so x = (x & M61) + (x >> 61) in
-every slot, applied through per-slot masks until no slot reaches 2^61.
+Mersenne folding: 2^31 = 1 (mod PRIME), so x = (x & M31) + (x >> 31) in
+every slot, applied through per-slot masks until no slot reaches 2^31.
 
 `RowBasis` is the incremental eliminator used everywhere.  Its invariants:
 
@@ -25,14 +28,14 @@ every slot, applied through per-slot masks until no slot reaches 2^61.
   row, whatever the size of the basis.
 * **Slot bound.**  A row is canonical (every slot in [0, PRIME)) when it is
   kept.  A product c * r of a coefficient c < PRIME and a canonical row r
-  has slots below 2^122, and 2^61 + 63 * 2^122 < 64 * 2^122 = 2^128, so a
-  128-bit slot holds one canonical entry plus any 63 such products.  Two
+  has slots below 2^62, and 2^31 + 1023 * 2^62 < 1024 * 2^62 = 2^72, so a
+  72-bit slot holds one canonical entry plus any 1023 such products.  Two
   rules keep every slot inside that bound.  Every sum of products (the
   reduction in ``_reduce`` and the tracking sums in ``insert`` and
   ``circuit``) starts from a canonical value and is canonicalised after
-  every FOLD = 63 products (``_sum``).  Kept rows take updates c * r
+  every FOLD = 1023 products (``_sum``).  Kept rows take updates c * r
   without folding (the pivot clearing of ``insert`` and the downdate of
-  ``remove``), so after u of them a slot is below 2^61 + u * 2^122; the
+  ``remove``), so after u of them a slot is below 2^31 + u * 2^62; the
   row (structural and tracking part) is canonicalised as soon as its
   ``pending`` count reaches FOLD, and when it is next used as a multiplier.
 * **Triangular rows.**  Every kept row's top nonzero slot is its own
@@ -68,10 +71,10 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-PRIME_BITS = 61
+PRIME_BITS = 31
 PRIME = (1 << PRIME_BITS) - 1
 
-SLOT_BITS = 128
+SLOT_BITS = 72
 _SLOT_BYTES = SLOT_BITS // 8
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 # a canonical entry (< 2^PRIME_BITS) fits the low bytes of its slot

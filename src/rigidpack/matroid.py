@@ -37,6 +37,16 @@ generically too.  A shortest augmenting path keeps every part independent
 in any matroid (Knuth 1973; Cunningham 1986), so a refused insert on it is
 a kernel fault and raises ``OracleInconsistencyError``.  A short result is
 the only symptom of an unlucky realization.
+
+So ``guarded_partition``, which ``rank_union``, ``pack_rigid`` and
+``pack_tree_rigid`` use, never reports a short total on one realization's
+word.  When the total is below min(|ground|, sum of ``max_rank``) it
+partitions once more under the oracles' ``fresh()`` counterparts (an
+oracle shared by several parts maps to one fresh oracle; exact oracles are
+their own) and keeps the larger result, the first on a tie.  Each total is
+a lower bound on the union rank, so with R the sum of the parts' generic
+ranks a reported short total is wrong with probability at most
+(R / PRIME)^2 (see ``rigidity``).
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ class IndependenceOracle(Protocol):
     def max_rank(self) -> int: ...
     def new_state(self) -> MatroidState: ...
     def verify_independent(self, *edge_sets: Iterable[int]) -> bool: ...
+    def fresh(self) -> "IndependenceOracle": ...
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -79,6 +90,10 @@ class GraphicOracle:
     def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
         """Whether every given set is a forest; exact (union-find)."""
         return all(independent_d1(self.graph, ids) for ids in edge_sets)
+
+    def fresh(self) -> "GraphicOracle":
+        """Itself: forest answers are exact, so a second look cannot differ."""
+        return self
 
     def new_state(self) -> "ForestState":
         return ForestState(self.graph)
@@ -230,9 +245,31 @@ def _augment(moves, states, part_of) -> None:
         part_of[add] = i
 
 
+def guarded_partition(
+    oracles: Sequence[IndependenceOracle], ground: Iterable[int]
+) -> tuple[MatroidPartition, Sequence[IndependenceOracle], str | None]:
+    """``partition`` with the guard of the module notes.
+
+    Returns the partition, the oracles it was found under, and the guard's
+    outcome: "reseeded" when the fresh oracles found a larger total,
+    "confirmed" when they did not, None when the guard did not run.
+    """
+    first = partition(oracles, ground)
+    if first.total >= min(len(first.ground), sum(o.max_rank for o in oracles)):
+        return first, oracles, None
+    fresh = {o: o.fresh() for o in dict.fromkeys(oracles)}
+    if all(o is f for o, f in fresh.items()):
+        return first, oracles, None  # exact oracles: the short total is the rank
+    again = [fresh[o] for o in oracles]
+    second = partition(again, first.ground)
+    if second.total > first.total:
+        return second, again, "reseeded"
+    return first, oracles, "confirmed"
+
+
 def rank_union(oracles: Sequence[IndependenceOracle], ground: Iterable[int]) -> int:
     """Rank of the matroid union on the ground set (size of a largest partition)."""
-    return partition(oracles, ground).total
+    return guarded_partition(oracles, ground)[0].total
 
 
 @dataclass(frozen=True)
@@ -240,13 +277,15 @@ class PackingResult:
     """Outcome of a spanning-subgraph packing attempt.
 
     ``verified`` holds only for a feasible packing whose parts passed their
-    oracles' re-checks.
+    oracles' re-checks.  ``guard`` is the outcome of ``guarded_partition``'s
+    guard: "confirmed", "reseeded", or None when it did not run.
     """
 
     parts: tuple[frozenset[int], ...]
     target_sizes: tuple[int, ...]
     verified: bool
     seed: int
+    guard: str | None = None
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -264,17 +303,19 @@ class PackingResult:
 def _pack(graph: Graph, oracles: Sequence[IndependenceOracle], seed: int) -> PackingResult:
     """Partition every edge into one part per oracle; re-check a full result.
 
-    Each part's target is its oracle's ``max_rank``.  Each distinct oracle
-    re-checks all of its parts in one ``verify_independent`` call, so the t
-    rigid parts of ``pack_rigid`` share one fresh realization.
+    Each part's target is its oracle's ``max_rank``.  The partition is
+    guarded (``guarded_partition``), and each distinct oracle it was found
+    under re-checks all of its parts in one ``verify_independent`` call, so
+    the t rigid parts of ``pack_rigid`` share one fresh realization.
     """
-    parts = partition(oracles, range(graph.m)).parts
+    result, used, guard = guarded_partition(oracles, range(graph.m))
+    parts = result.parts
     targets = tuple(o.max_rank for o in oracles)
     full = tuple(map(len, parts)) == targets
     verified = full and all(
-        o.verify_independent(*(p for p, q in zip(parts, oracles) if q is o))
-        for o in dict.fromkeys(oracles))
-    return PackingResult(parts, targets, verified, seed)
+        o.verify_independent(*(p for p, q in zip(parts, used) if q is o))
+        for o in dict.fromkeys(used))
+    return PackingResult(parts, targets, verified, seed, guard)
 
 
 def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
@@ -284,8 +325,9 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
     part then has d*n - (d+1 choose 2) edges and is a base).  No
     connectivity precondition is checked: the attempt itself is the test,
     and failure reports the achieved partition.  One realization serves all
-    t parts; a feasible packing is re-checked under one fresh realization,
-    and ``verified`` holds the outcome.
+    t parts, and a short partition is confirmed or reseeded under a second
+    one; a feasible packing is re-checked under one fresh realization, and
+    ``verified`` holds the outcome.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")

@@ -298,6 +298,7 @@ class OrientationReport:
     leftover: int | None
     verified: bool | None
     seed: int
+    guard: str | None = None                   # the packing's (PackingResult.guard)
 
     @property
     def base_sizes(self) -> tuple[int, ...] | None:
@@ -353,6 +354,6 @@ def k_connected_orientation(
     verified = is_k_connected(digraph, k)[0] if verify else None
     report = OrientationReport(
         k, d, deficits, tuple(tuple(b) for b in base_edges),
-        graph.m - sum(len(p) for p in packing.parts), verified, seed,
+        graph.m - sum(len(p) for p in packing.parts), verified, seed, packing.guard,
     )
     return digraph, report

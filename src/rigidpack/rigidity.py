@@ -1,17 +1,35 @@
 """Randomized rank oracle for generic d-dimensional rigidity matroids.
 
 A generic realization is emulated by drawing vertex coordinates uniformly
-from GF(PRIME); the rigidity matrix row of edge uv carries coords(u) -
-coords(v) in u's d columns and the negation in v's.  Each oracle answers
-exactly for the linear matroid of its realization, whose ranks can only
-come out *lower* than the generic ones, with probability at most
-(rows)/PRIME per query.  So "independent" answers are exact, and a short
-result is the only symptom of an unlucky realization.  One oracle answers
-for every part of a union of copies of R_d, and a delivered object is
-re-checked, all its parts at once, under one fresh realization
-(``verify_independent``), which catches kernel faults.  The salts drawn
-are 1 for packings and union ranks, 0 for orientation bases and
-``simulate gpd --check``, and ``salt + 2^20`` for re-checks.
+from GF(PRIME), PRIME = 2^31 - 1; the rigidity matrix row of edge uv
+carries coords(u) - coords(v) in u's d columns and the negation in v's.
+Each oracle answers exactly for the linear matroid of its realization,
+whose ranks can only come out *lower* than the generic ones: by
+Schwartz-Zippel, a realization under-reports the rank of a set with a
+generic base of R edges with probability at most R / PRIME, about
+R / 2^31.  So "independent" answers are exact, and a short result is the
+only symptom of an unlucky realization.
+
+A short result is therefore never reported on one realization's word.
+``rank`` (and through it ``is_independent``, ``is_rigid`` and
+``verify_independent``) asks a second, independent realization
+(``fresh``) whenever the first base is below min(|set|, ``max_rank``),
+and keeps the larger base; the first on a tie.  Each realization gives a
+lower bound, so a short verdict that is still reported is wrong with
+probability at most (R / PRIME)^2.  ``matroid`` guards union verdicts the
+same way, with R the sum of the parts' generic ranks: the bound is about
+4.5e-14 for the two d = 8 bases of orient-k3 (R = 456) and 1.7e-12 for two
+d = 20 bases of K81 (R = 2820).
+
+One oracle answers for every part of a union of copies of R_d, and a
+delivered object is re-checked, all its parts at once, under one fresh
+realization (``verify_independent``), which catches kernel faults.  The
+salts drawn are 1 for packings and union ranks, 0 for orientation bases
+and ``simulate gpd --check``, ``salt + 2^20`` for re-checks and for the
+guard's second realization, and ``salt + 2^21`` for a re-check of a
+reseeded packing and for the guard of a re-check.  Only a re-check of a
+reseeded packing that itself comes out short goes further, to
+``salt + 3 * 2^20``.
 
 Every realization's rank is at most ``complete_rank(n, d)`` (see
 ``RigidityOracle.max_rank``), so a set of that many independent edges spans
@@ -77,8 +95,9 @@ class RigidityOracle:
     """Rank and independence queries for R_d over one fixed realization.
 
     Queries are pure given (seed, salt).  Each query eliminates afresh; only
-    the matrix row of each edge is cached.  Matroid partition grows one
-    ``RigidityPartitionState`` basis per part over that shared row cache.
+    the matrix row of each edge and the ``fresh()`` oracle are cached.
+    Matroid partition grows one ``RigidityPartitionState`` basis per part
+    over that shared row cache.
     """
 
     def __init__(self, graph: Graph, d: int, seed: int = 0, salt: int = 0):
@@ -88,6 +107,7 @@ class RigidityOracle:
         self.salt = salt
         self.realization = Realization.random(graph.n, d, seed, salt)
         self._rows: dict[int, list[int]] = {}
+        self._fresh: RigidityOracle | None = None
 
     @property
     def ncols(self) -> int:
@@ -118,8 +138,34 @@ class RigidityOracle:
             self._rows[edge_id] = r
         return r
 
+    def fresh(self) -> "RigidityOracle":
+        """The same oracle under an independent realization, at ``salt + 2^20``.
+
+        Built once and kept: every guard and re-check of this oracle uses it.
+        For the salts the package uses, no constructor draws it.
+        """
+        if self._fresh is None:
+            self._fresh = RigidityOracle(self.graph, self.d, self.seed, self.salt + (1 << 20))
+        return self._fresh
+
+    def guarded_base(self, edge_ids: Iterable[int]) -> tuple[list[int], str | None]:
+        """A base of the set, and the guard's outcome (module notes).
+
+        The guard runs when the first base is below min(|set|, ``max_rank``):
+        the base under ``fresh()`` replaces it if larger ("reseeded"), else
+        the first stands ("confirmed").  The outcome is None otherwise.
+        """
+        ids = frozenset(edge_ids)
+        base = self.extract_base(ids)
+        if len(base) >= min(len(ids), self.max_rank):
+            return base, None
+        again = self.fresh().extract_base(ids)
+        if len(again) > len(base):
+            return again, "reseeded"
+        return base, "confirmed"
+
     def rank(self, edge_ids: Iterable[int]) -> int:
-        return len(self.extract_base(edge_ids))
+        return len(self.guarded_base(edge_ids)[0])
 
     def is_independent(self, edge_ids: Iterable[int]) -> bool:
         ids = frozenset(edge_ids)
@@ -146,13 +192,13 @@ class RigidityOracle:
         return kept
 
     def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
-        """Whether every given set is independent under one fresh realization.
+        """Whether every given set is independent under ``fresh()``.
 
         One realization re-checks all the parts of a packing (cuts
-        one-sided error).  Its salt is ``salt + 2^20``; for the salts the
-        package uses, no constructor draws it.
+        one-sided error); a set it finds dependent is asked of its own
+        ``fresh()`` by the guard of ``rank`` before it is rejected.
         """
-        oracle = RigidityOracle(self.graph, self.d, self.seed, self.salt + (1 << 20))
+        oracle = self.fresh()
         return all(oracle.is_independent(ids) for ids in edge_sets)
 
     def new_state(self) -> "RigidityPartitionState":

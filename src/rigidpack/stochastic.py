@@ -14,10 +14,14 @@ Two seeded constructions are implemented exactly and instrumented:
 * ``back_degree_subgraph``: scan vertices in a given order and keep, per
   vertex, its back-neighbors capped at D; when the cap binds and the back
   neighborhood is not a clique, keep D+1 including the lexicographically
-  first nonadjacent pair.  With cap d+1 the result is independent in the
-  union of the graphic and d-rigidity matroids whenever nonadjacent pairs
-  are never rank-linked, which ``simulate gpd --check`` tests on concrete
-  instances.
+  first nonadjacent pair.  With cap d+1 the result can be independent in
+  the union of the graphic and d-rigidity matroids only when few vertices
+  take the 'extended' rule.  The union has rank at most (n - 1) + dn -
+  C(d+1, 2).  When every vertex past the first d+1 of the ordering has at
+  least cap back-neighbours, the result already has (d+1)n - C(d+2, 2)
+  edges plus one per 'extended' vertex, so more than d such vertices make
+  it dependent by counting.  ``simulate gpd --check`` tests independence on
+  concrete instances.
 
 Everything takes an explicit SeededStream; trials are embarrassingly
 parallel and bit-reproducible.

@@ -6,8 +6,8 @@ import pytest
 
 from rigidpack import matroid, rigidity, stream
 from rigidpack.cli import build_parser, main
-from rigidpack.generators import complete_graph, cycle_graph
-from rigidpack.graph import read_digraph, read_graph, write_graph
+from rigidpack.generators import complete_graph, cycle_graph, gnp_graph
+from rigidpack.graph import Graph, read_digraph, read_graph, write_graph
 from rigidpack.matroid import ForestState
 from rigidpack.rigidity import Realization, RigidityOracle, RigidityPartitionState
 from rigidpack.stream import stream_rng
@@ -409,3 +409,64 @@ def test_simulate_gpd_realization_stream_is_no_trials(capsys, monkeypatch):
     assert code == 0
     assert len(drawn["trials"]) == 20 and drawn["realization"]
     assert not drawn["trials"] & drawn["realization"]
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["--t", "2"], "42"),
+    ([], "21"),
+    (["--t", "2", "--graphic"], "53"),
+])
+def test_rank_guard_reseeds_an_unlucky_realization(capsys, monkeypatch, unlucky, argv, value):
+    # salt 1 puts K12 on a line; the guard's realization, salt 1 + 2^20, does not
+    drawn = unlucky(1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(complete_graph(12))))
+    code = main(["rank", "--d", "2", "--seed", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == value + "\n"
+    assert captured.err == "rank: short rank reseeded under a second realization\n"
+    assert drawn == [1, 1 + (1 << 20)]
+
+
+def test_rank_guard_is_silent_on_full_ranks(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph(complete_graph(12))))
+    assert main(["rank", "--d", "2", "--t", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_reports_carry_the_guard_only_when_it_ran(capsys, monkeypatch, unlucky):
+    # truly short hosts: the packing, and the orientation that needs one, are
+    # confirmed short; an untouched packing has no guard key
+    short = write_graph(gnp_graph(24, 0.3, seed=2))
+    code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "2", "--t", "2", "--seed", "3"],
+                        stdin=short)
+    stats = last_json(out)["stats"]
+    assert code == 1 and stats["sizes"] == [44, 43] and stats["guard"] == "confirmed"
+    # K16 plus a vertex of degree 3 < d = 4: union rank 2 * 54 + 3 < min(123, 116)
+    low = Graph(17, [*complete_graph(16).edges, (0, 16), (1, 16), (2, 16)])
+    code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2"], stdin=write_graph(low))
+    report = last_json(out)
+    assert code == 1 and report["object"] == "orientation-failure"
+    assert report["stats"]["guard"] == "confirmed"
+    k17 = write_graph(complete_graph(17))
+    code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "4", "--t", "2"], stdin=k17)
+    assert code == 0 and "guard" not in last_json(out)["stats"]
+    # an unlucky first realization under an orientation is reseeded, and said so
+    unlucky(1)
+    code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2", "--verify"], stdin=k17)
+    stats = last_json(out)["stats"]
+    assert code == 0 and stats["verified"] is True and stats["guard"] == "reseeded"
+
+
+def test_simulate_gpd_check_skips_what_counting_decides(capsys, monkeypatch):
+    # every trial keeps more than (n - 1) + (2n - 3) = 86 edges of this host,
+    # so none is partitioned, and the verdict is the one partitions gave
+    calls = []
+    run = matroid.partition
+    monkeypatch.setattr(matroid, "partition", lambda *args: calls.append(args) or run(*args))
+    host = write_graph(gnp_graph(30, 0.4, seed=3))
+    code, out = run_cli(capsys, monkeypatch, [
+        "simulate", "gpd", "--cap", "3", "--trials", "15", "--check", "--seed", "2",
+    ], stdin=host)
+    stats = last_json(out)["stats"]
+    assert code == 0 and stats["independent_fraction"] == 0.0 and calls == []
+    assert stats["estimate"] == pytest.approx(92.2667, abs=1e-4)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -331,41 +332,74 @@ def test_row_basis_stays_triangular_through_partition(graph, d, monkeypatch):
     assert calls["insert"] > graph.n and calls["remove"] > 0
 
 
-def slot_values(packed, width):
-    step = SLOT_BITS // 8
-    raw = packed.to_bytes(width * step, "little")  # OverflowError past the top slot
-    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+@functools.cache
+def slot_ones(width):
+    """1 in the lowest bit of each of width slots."""
+    return int.from_bytes((b"\x01" + bytes(SLOT_BITS // 8 - 1)) * width, "little")
+
+
+def slots_below(packed, width, bound):
+    """Whether a packed value has width slots, each below bound (<= 2^SLOT_BITS).
+
+    Adding 2^SLOT_BITS - bound to every slot makes a slot carry into the next
+    only when a slot at or below it reaches the bound (the lowest such slot
+    carries), and x ^ add ^ (x + add) holds the carry into every bit, so one
+    sum tests every slot at once.
+    """
+    ones = slot_ones(width)
+    add = ones * ((1 << SLOT_BITS) - bound)
+    carries = packed ^ add ^ (packed + add)
+    return packed >> (SLOT_BITS * width) == 0 and not carries & (ones << SLOT_BITS)
 
 
 def test_row_basis_slot_bound_under_pending_updates():
-    # rows 0..3 are e_{73-i} plus a dense tail on columns 0..69; rows 4..73
-    # live on the tail only.  Pivots are highest slots, so rows 0..3 pivot
-    # at the top columns and each tail row takes a new pivot in the tail and
+    # rows 0..3 are e_{ncols-1-i} plus a dense tail on columns 0..tail-1;
+    # rows 4..FOLD+6 are the unit rows e_0, e_1, ... and the last 4 rows are
+    # dense on the tail.  Pivots are highest slots, so rows 0..3 pivot at the
+    # top columns and each later row takes a new pivot in the tail and
     # clears it from rows 0..3, which no later insert uses as a multiplier,
     # so their updates pile up un-canonicalised until the FOLD-th.  Removing
-    # tail members then downdates every surviving row more than FOLD times.
+    # the unit members then downdates every surviving row more than FOLD
+    # times.
     rng = random.Random(5)
-    head, tail = 4, 70
+    head, units, dense = 4, FOLD + 3, 4
+    tail = units + dense
+    assert FOLD < tail < 2 * FOLD
     ncols = head + tail
-    raw = [[rng.randrange(1, PRIME) if c == i or c >= head else 0 for c in range(ncols)]
-           for i in range(head)]
-    raw += [[rng.randrange(PRIME) if c >= head else 0 for c in range(ncols)]
-            for _ in range(tail)]
-    raw = [row[::-1] for row in raw]
+
+    def unit(c):
+        return [0] * c + [1] + [0] * (ncols - c - 1)
+
+    def dense_tail():
+        return [rng.randrange(PRIME) for _ in range(tail)]
+
+    raw = [dense_tail() + [0] * head for _ in range(head)]
+    for i, row in enumerate(raw):
+        row[ncols - 1 - i] = rng.randrange(1, PRIME)
+    raw += [unit(c) for c in range(units)]
+    raw += [dense_tail() + [0] * head for _ in range(dense)]
     basis = RowBasis(ncols, track_width=ncols)
-    peak = noncanonical = 0
+    peak, noncanonical = 0, False
+    checked: list[dict[int, int]] = [{}, {}]
 
     def check_slots():
+        # every update or fold makes a new int, so a part that is the object
+        # checked last time is skipped; the copies keep those objects alive
         nonlocal peak, noncanonical
-        for pivot, row in basis.rows.items():
-            updates = basis.pending.get(pivot, 0)
-            assert updates <= FOLD
-            peak = max(peak, updates)
-            for part in (row, basis.tracks[pivot]):
-                slots = slot_values(part, ncols)
-                assert max(slots) < (1 << 61) + updates * (1 << 122)
-                assert max(slots) < 1 << SLOT_BITS
-                noncanonical += any(v >= PRIME for v in slots)
+        pending = basis.pending
+        peak = max(peak, *pending.values(), 0)
+        assert peak <= FOLD
+        for i, parts in enumerate((basis.rows, basis.tracks)):
+            last = checked[i]
+            for pivot, part in parts.items():
+                if part is last.get(pivot):
+                    continue
+                updates = pending.get(pivot, 0)
+                assert slots_below(part, ncols,
+                                   (1 << PRIME_BITS) + updates * (1 << (2 * PRIME_BITS)))
+                assert part.bit_length() <= SLOT_BITS * ncols
+                noncanonical = noncanonical or not slots_below(part, ncols, PRIME)
+            checked[i] = dict(parts)
 
     for m, row in enumerate(raw):
         assert basis.insert(row, m)
@@ -373,7 +407,7 @@ def test_row_basis_slot_bound_under_pending_updates():
     # rows 0..3 took `tail` updates: canonicalised at the FOLD-th, then 7 more
     assert peak == FOLD - 1
     assert [basis.pending[ncols - 1 - i] for i in range(head)] == [tail - FOLD] * head
-    assert noncanonical > 0
+    assert noncanonical
     # queries still see the exact basis: every raw row's circuit is itself
     for m, row in enumerate(raw):
         assert basis.circuit(row) == {m}
@@ -384,19 +418,21 @@ def test_row_basis_slot_bound_under_pending_updates():
     assert not basis.pending
     for pivot, row in basis.rows.items():
         for part in (row, basis.tracks[pivot]):
-            assert max(slot_values(part, ncols)) < PRIME
-    # each removal downdates every row that stays: the last 8 take 66 each
+            assert slots_below(part, ncols, PRIME)
+    # each removal downdates every row that stays: the last 8 take FOLD + 3
+    # each (the highest slot goes first, which keeps remove's scan short)
     peak = 0
-    for m in range(head, head + 66):
+    for m in reversed(range(head, head + units)):
         basis.remove(m)
         del live[m]
         check_slots()
     assert peak == FOLD - 1
-    assert sorted(basis.pending.values()) == [66 - FOLD] * len(live)
+    assert sorted(basis.pending.values()) == [units - FOLD] * len(live) == [3] * 8
     for m, row in live.items():
         assert basis.circuit(row) == {m}
-    probe = [(a + 5 * b) % PRIME for a, b in zip(raw[70], raw[72])]
-    assert basis.circuit(probe) == brute_circuit(live, probe) == {70, 72}
+    a, b = head + units + 1, head + units + 3
+    probe = [(x + 5 * y) % PRIME for x, y in zip(raw[a], raw[b])]
+    assert basis.circuit(probe) == brute_circuit(live, probe) == {a, b}
 
 
 def test_fold_is_the_largest_count_a_slot_holds():
@@ -411,25 +447,58 @@ def test_fold_is_the_largest_count_a_slot_holds():
 def test_row_basis_folds_wide_sums():
     # Every sum below has more than 2 * FOLD products, so it passes two fold
     # points, and unit rows with PRIME - 1 in every tail slot make each
-    # product about 2^122: a sum of 64 of them overflows its slot unfolded.
+    # product about 2^(2 * PRIME_BITS): a sum of FOLD + 1 of them overflows
+    # its slot unfolded.
     k = 2 * FOLD + 4  # unit rows e_m, m < k; columns k..k+2 are the tail
     ncols = k + 3
-    raw = {m: [1 if c == m else PRIME - 1 if c >= k else 0 for c in range(ncols)]
-           for m in range(k)}
+    raw = {m: [0] * m + [1] + [0] * (k - m - 1) + [PRIME - 1] * 3 for m in range(k)}
     basis = RowBasis(ncols, track_width=k + 2)
     for m, row in raw.items():
         assert basis.insert(row, m)
     live = dict(raw)
-    assert rank_mod_p(list(live.values())) == k
+
+    # The references are closed forms, since plain elimination over k rows
+    # of k + 3 columns is far too slow: each unit row clears its own column
+    # from every other row, which leaves the others on the columns of the
+    # absent units and the 3-column tail, where rank_mod_p takes the rank.
+    def closed_rank(absent, others):
+        """Rank of the unit rows of every m < k but ``absent``, plus ``others``."""
+        residues = []
+        for r in others:
+            s = sum(r[:k]) - sum(r[m] for m in absent)
+            # r - sum of r[m] * (unit row m); each unit row is -1 on the tail
+            residues.append([r[m] for m in absent] + [(t + s) % PRIME for t in r[k:]])
+        return k - len(absent) + rank_mod_p(residues)
+
+    def live_rank():
+        return closed_rank((), [r for m, r in live.items() if m >= k])
+
+    def closed_circuit(probe):
+        """``brute_circuit(live, probe)`` while every unit row is live."""
+        extras = {m: r for m, r in live.items() if m >= k}
+
+        def rank_without(y):
+            others = [r for m, r in extras.items() if m != y]
+            return closed_rank((y,) if y < k else (), others + [probe])
+
+        full = len(live)
+        if closed_rank((), [*extras.values(), probe]) > full:
+            return None
+        return {y for y in live if rank_without(y) == full}
 
     def combination(members):
-        return [sum(raw[m][c] for m in members) % PRIME for c in range(ncols)]
+        """The sum of the unit rows of members."""
+        row = [0] * k + [(PRIME - 1) * len(members) % PRIME] * 3
+        for m in members:
+            row[m] = 1
+        return row
 
+    assert live_rank() == k
     # _reduce: k - 3 products (PRIME - 1)^2 land in each tail slot
     most = set(range(3, k))
     probe = combination(most)
-    assert basis.circuit(probe) == brute_circuit(live, probe) == most
-    # from here on the live rows stay independent (rank_mod_p), so a
+    assert basis.circuit(probe) == closed_circuit(probe) == most
+    # from here on the live rows stay independent (live_rank), so a
     # combination's circuit is exactly the members it combines
 
     # a dense row hitting every unit row, whose reduced pivot entry is
@@ -438,7 +507,7 @@ def test_row_basis_folds_wide_sums():
     raw[k] = [1] * k + [PRIME - 1 - k, 12345, 678]
     assert basis.insert(raw[k], k)
     live[k] = raw[k]
-    assert rank_mod_p(list(live.values())) == k + 1
+    assert live_rank() == k + 1
     # circuit's tracking sum: k - 3 products (PRIME - 1)^2 in member k's slot
     assert basis.circuit(combination(most)) == most
 
@@ -450,13 +519,13 @@ def test_row_basis_folds_wide_sums():
     raw[k + 1] = row
     assert basis.insert(row, k + 1)
     live[k + 1] = row
-    assert rank_mod_p(list(live.values())) == k + 2
+    assert live_rank() == k + 2
     for m in (0, k, k + 1):
         assert basis.circuit(raw[m]) == {m}
     probe = [(a + 7 * b) % PRIME for a, b in zip(raw[k + 1], combination(range(k // 2)))]
     assert basis.circuit(probe) == set(range(k // 2)) | {k + 1}
     basis.remove(k)
     del live[k]
-    assert rank_mod_p(list(live.values())) == k + 1
+    assert live_rank() == k + 1
     assert basis.circuit(combination(range(1, k))) == set(range(1, k))
     assert basis.circuit(raw[k]) is None

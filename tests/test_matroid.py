@@ -3,11 +3,19 @@ from itertools import product
 
 import pytest
 
-from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from rigidpack import matroid
+from rigidpack.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    lovasz_yemini,
+    path_graph,
+)
 from rigidpack.graph import Graph
 from rigidpack.matroid import (
     GraphicOracle,
     OracleInconsistencyError,
+    guarded_partition,
     pack_rigid,
     pack_tree_rigid,
     partition,
@@ -400,6 +408,64 @@ def test_tree_rigid_packing_draws_one_realization_and_one_recheck(monkeypatch):
     result = pack_tree_rigid(complete_graph(8), 2, seed=1)
     assert result.feasible and result.verified
     assert drawn == [1, 1 + (1 << 20)]  # the tree is re-checked exactly
+
+
+# the salt offset of a fresh realization (``RigidityOracle.fresh``)
+FRESH = 1 << 20
+
+
+def test_guard_reseeds_an_unlucky_packing(unlucky):
+    # salt 1 puts K12 on a line, where R_2 reads as R_1: under that
+    # realization alone both parts stop at spanning trees, (11, 11) of 21
+    g = complete_graph(12)
+    drawn = unlucky(1)
+    assert partition([RigidityOracle(g, 2, 1, salt=1)] * 2, range(g.m)).sizes == (11, 11)
+    for pack in (lambda: pack_rigid(g, 2, 2, seed=1), lambda: pack_tree_rigid(g, 2, seed=1)):
+        drawn.clear()
+        result = pack()
+        assert result.feasible and result.verified and result.guard == "reseeded"
+        # the partition, the guard's partition, and the re-check of its parts
+        assert drawn == [1, 1 + FRESH, 1 + 2 * FRESH]
+
+
+def test_guard_confirms_a_short_packing(monkeypatch):
+    # 94 edges whose union rank in two copies of R_2 is 87 < min(94, 2 * 45):
+    # a second realization agrees, and the first partition's parts stand
+    g = gnp_graph(24, 0.3, seed=2)
+    drawn = count_realizations(monkeypatch)
+    result = pack_rigid(g, 2, 2, seed=3)
+    assert result.sizes == (44, 43) and not result.feasible and not result.verified
+    assert result.guard == "confirmed"
+    assert drawn == [1, 1 + FRESH]        # two partitions, no re-check
+    assert result.parts == partition([RigidityOracle(g, 2, 3, salt=1)] * 2, range(g.m)).parts
+
+
+def test_guard_stays_off_where_counting_decides(monkeypatch):
+    # a 5-connected Lovasz-Yemini graph: its 150 edges all fit in two parts,
+    # (114, 36), so the union verdict is exact, and 150 < 2 * 117 makes the
+    # packing infeasible whatever the realization
+    g = lovasz_yemini([2], 6).graph
+    drawn = count_realizations(monkeypatch)
+    result = pack_rigid(g, 2, 2, seed=3)
+    assert result.sizes == (114, 36) and result.guard is None
+    assert drawn == [1]
+    # one copy: the graph is not rigid, 114 < min(150, 117), and a second
+    # realization confirms it
+    drawn.clear()
+    result = pack_rigid(g, 2, 1, seed=3)
+    assert result.sizes == (114,) and result.guard == "confirmed"
+    assert drawn == [1, 1 + FRESH]
+
+
+def test_guard_skips_exact_oracles(monkeypatch):
+    # two forests in K5 plus an isolated vertex hold 8 of 10 edges, short of
+    # min(10, 2 * 5); forest answers are exact, so nothing is asked again
+    g = Graph(6, complete_graph(5).edges)
+    calls = []
+    run = matroid.partition
+    monkeypatch.setattr(matroid, "partition", lambda *args: calls.append(args) or run(*args))
+    result, _, guard = guarded_partition([GraphicOracle(g)] * 2, range(g.m))
+    assert result.total == 8 and guard is None and len(calls) == 1
 
 
 def test_graphic_verify_independent_is_exact():

@@ -146,7 +146,11 @@ def test_extract_base_stops_at_complete_rank(monkeypatch):
     # a set that falls short is scanned to the end: edges 30-44 are K6 on
     # vertices 4-9, of rank 9
     inserted.clear()
-    assert oracle.rank(range(30, g.m)) == 9 and len(inserted) == 15
+    assert len(oracle.extract_base(range(30, g.m))) == 9 and len(inserted) == 15
+    # rank's guard confirms the short base under a second realization: one
+    # more scan of the same 15 edges
+    inserted.clear()
+    assert oracle.rank(range(30, g.m)) == 9 and len(inserted) == 30
     # without the bound the scan makes every insert and keeps the same edges
     monkeypatch.setattr(RigidityOracle, "max_rank", 1 << 30)
     inserted.clear()
@@ -254,3 +258,34 @@ def test_verify_independent_fresh_realization():
     other = oracle.extract_base(range(g.m - 1, -1, -1)[:8])
     assert oracle.verify_independent(base, other, [0, 1])
     assert not oracle.verify_independent(base, range(g.m), other)
+
+
+def test_verify_independent_accepts_through_the_guard(unlucky):
+    # the re-check's realization, salt 5 + 2^20, puts K8 on a line, where a
+    # rigid base looks dependent: rank's guard asks salt 5 + 2^21, which
+    # accepts it; a truly dependent set is still rejected, on both words
+    g = complete_graph(8)
+    oracle = RigidityOracle(g, 2, salt=5)
+    base = oracle.extract_base(range(g.m))
+    drawn = unlucky(5 + (1 << 20))
+    fresh = oracle.fresh()
+    assert fresh.salt == 5 + (1 << 20) and oracle.fresh() is fresh
+    assert len(fresh.extract_base(base)) == g.n - 1 < len(base) == 13
+    assert fresh.guarded_base(base) == (base, "reseeded")
+    assert oracle.verify_independent(base)
+    assert not oracle.verify_independent(range(g.m))
+    assert fresh.guarded_base(range(g.m))[1] == "reseeded"
+    assert drawn == [5 + (1 << 20), 5 + (1 << 21)]
+
+
+def test_rank_guard_runs_only_below_the_bound(monkeypatch):
+    # full bases and sets that are all kept draw nothing more; a short base
+    # is confirmed by the second realization
+    g = complete_graph(8)
+    oracle = RigidityOracle(g, 2, salt=1)
+    assert oracle.guarded_base(range(g.m))[1] is None
+    assert oracle.guarded_base([0, 1, 2])[1] is None
+    k4 = [g.edge_id(u, v) for u in range(4) for v in range(u + 1, 4)]
+    base, guard = oracle.guarded_base(k4)
+    assert len(base) == 5 and guard == "confirmed"
+    assert oracle.rank(k4) == 5 and not oracle.is_rigid(k4)
