@@ -46,7 +46,6 @@ from .matroid import (
     MatroidPartition,
     OracleInconsistencyError,
     PackingResult,
-    guarded_partition,
     pack_rigid,
     pack_tree_rigid,
     partition,

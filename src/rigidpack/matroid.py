@@ -285,7 +285,7 @@ class PackingResult:
     target_sizes: tuple[int, ...]
     verified: bool
     seed: int
-    guard: str | None = None
+    guard: str | None
 
     @property
     def sizes(self) -> tuple[int, ...]:

@@ -353,33 +353,57 @@ def slots_below(packed, width, bound):
 
 
 def test_row_basis_slot_bound_under_pending_updates():
-    # rows 0..3 are e_{ncols-1-i} plus a dense tail on columns 0..tail-1;
-    # rows 4..FOLD+6 are the unit rows e_0, e_1, ... and the last 4 rows are
-    # dense on the tail.  Pivots are highest slots, so rows 0..3 pivot at the
-    # top columns and each later row takes a new pivot in the tail and
-    # clears it from rows 0..3, which no later insert uses as a multiplier,
-    # so their updates pile up un-canonicalised until the FOLD-th.  Removing
-    # the unit members then downdates every surviving row more than FOLD
-    # times.
+    # Column 0 is shared and never a pivot; columns 1..units belong to the
+    # unit rows, the next `dense` to the dense rows and the top `head` to
+    # the head rows.  The raw rows, in member order: head row i is 1 at
+    # column ncols-1-i with entries on columns 0..units; then e_1 and
+    # e_c + a_c e_0 + b_c e_1 for c = 2..units; then the dense rows on
+    # columns 0..units+dense.  Pivots are highest slots, so the head rows
+    # pivot at the top columns, and each unit row takes its own column and
+    # clears it from the head rows, which no later insert uses as a
+    # multiplier: their updates pile up un-canonicalised until the FOLD-th.
+    # A unit row is reduced by e_1, so it holds a_c in slot 0 and -b_c in
+    # the tracking slot of e_1, and each clearing adds a product to both of
+    # those shared slots.  Removing the unit members (e_1 last) downdates
+    # every surviving row through the removed row, which again adds a
+    # product to both shared slots, more than FOLD times in all.
+    #
+    # a_c and -b_c are close to PRIME.  Head rows 0 and 1 hold small
+    # entries v on the unit columns, so their clearing coefficients
+    # PRIME - v are close to PRIME, and every product they take in the
+    # insert phase is close to 2^(2 * PRIME_BITS).  Head rows 2 and 3 hold
+    # entries v close to PRIME: a head row's tracking slot of unit member c
+    # then holds PRIME - v, so removing c downdates it by v times the
+    # removed row, and their products are the large ones in the remove phase.
     rng = random.Random(5)
     head, units, dense = 4, FOLD + 3, 4
-    tail = units + dense
-    assert FOLD < tail < 2 * FOLD
-    ncols = head + tail
+    assert FOLD < units < 2 * FOLD
+    ncols = 1 + units + dense + head
 
-    def unit(c):
-        return [0] * c + [1] + [0] * (ncols - c - 1)
+    def small():
+        return rng.randrange(1, 1 << 8)
 
-    def dense_tail():
-        return [rng.randrange(PRIME) for _ in range(tail)]
-
-    raw = [dense_tail() + [0] * head for _ in range(head)]
-    for i, row in enumerate(raw):
-        row[ncols - 1 - i] = rng.randrange(1, PRIME)
-    raw += [unit(c) for c in range(units)]
-    raw += [dense_tail() + [0] * head for _ in range(dense)]
+    raw = []
+    for i in range(head):
+        row = [0] * ncols
+        row[ncols - 1 - i] = 1
+        row[0] = rng.randrange(PRIME)
+        for c in range(1, units + 1):
+            row[c] = small() if i < 2 else PRIME - small()
+        raw.append(row)
+    for c in range(1, units + 1):
+        row = [0] * ncols
+        row[c] = 1
+        if c > 1:
+            row[0], row[1] = PRIME - small(), small()
+        raw.append(row)
+    raw += [[rng.randrange(PRIME) for _ in range(1 + units + dense)] + [0] * head
+            for _ in range(dense)]
     basis = RowBasis(ncols, track_width=ncols)
+    # a slot at or above this holds more than FOLD // 2 products
+    high = (1 << PRIME_BITS) + (FOLD // 2) * (1 << (2 * PRIME_BITS))
     peak, noncanonical = 0, False
+    stressed = [False, False]  # some structural / tracking slot reached high
     checked: list[dict[int, int]] = [{}, {}]
 
     def check_slots():
@@ -399,15 +423,19 @@ def test_row_basis_slot_bound_under_pending_updates():
                                    (1 << PRIME_BITS) + updates * (1 << (2 * PRIME_BITS)))
                 assert part.bit_length() <= SLOT_BITS * ncols
                 noncanonical = noncanonical or not slots_below(part, ncols, PRIME)
+                stressed[i] = stressed[i] or not slots_below(part, ncols, high)
             checked[i] = dict(parts)
 
     for m, row in enumerate(raw):
         assert basis.insert(row, m)
         check_slots()
-    # rows 0..3 took `tail` updates: canonicalised at the FOLD-th, then 7 more
+    # rows 0..3 took `units` updates: canonicalised at the FOLD-th, then 3
+    # more; before that fold the shared slots of rows 0 and 1 came close to
+    # the bound, well past `high`
     assert peak == FOLD - 1
-    assert [basis.pending[ncols - 1 - i] for i in range(head)] == [tail - FOLD] * head
+    assert [basis.pending[ncols - 1 - i] for i in range(head)] == [units - FOLD] * head
     assert noncanonical
+    assert stressed == [True, True]
     # queries still see the exact basis: every raw row's circuit is itself
     for m, row in enumerate(raw):
         assert basis.circuit(row) == {m}
@@ -420,14 +448,16 @@ def test_row_basis_slot_bound_under_pending_updates():
         for part in (row, basis.tracks[pivot]):
             assert slots_below(part, ncols, PRIME)
     # each removal downdates every row that stays: the last 8 take FOLD + 3
-    # each (the highest slot goes first, which keeps remove's scan short)
-    peak = 0
+    # each (the highest slot goes first, which keeps remove's scan short),
+    # and the shared slots of rows 2 and 3 pass `high` before their fold
+    peak, stressed[:] = 0, [False, False]
     for m in reversed(range(head, head + units)):
         basis.remove(m)
         del live[m]
         check_slots()
     assert peak == FOLD - 1
     assert sorted(basis.pending.values()) == [units - FOLD] * len(live) == [3] * 8
+    assert stressed == [True, True]
     for m, row in live.items():
         assert basis.circuit(row) == {m}
     a, b = head + units + 1, head + units + 3
