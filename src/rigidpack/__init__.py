@@ -31,8 +31,6 @@ from .graph import (
     Digraph,
     Graph,
     GraphFormatError,
-    VertexOrdering,
-    back_neighbors,
     in_neighbors_of_set,
     induced_edge_count,
     read_digraph,
@@ -75,11 +73,9 @@ from .rigidity import (
     rigidity_matrix_row,
 )
 from .stochastic import (
-    BackDegreeSubgraph,
     IndependentSubgraphSample,
     SubgraphSizeStats,
     TailCheck,
-    back_degree_subgraph,
     binomial_tail_bound,
     binomial_tail_check,
     expected_min_preceding,

@@ -4,9 +4,9 @@ Objects (graphs, digraphs, packing parts) stream through stdin/stdout in
 the edge-list format; every run but ``rank`` (which prints the rank alone)
 also prints a one-line JSON report with a fixed envelope {schema, object,
 seed, stats, certificates}.  The commands that read a graph (rank, pack,
-kriesell, orient, verify, simulate e0 and gpd) take -i/--input; those that
-emit one (gen, pack, kriesell, orient) take -o/--output, and then only the
-JSON stays on stdout.  Readers ignore content after the last edge line, so
+kriesell, orient, verify and simulate e0) take -i/--input; those that emit
+one (gen, pack, kriesell, orient) take -o/--output, and then only the JSON
+stays on stdout.  Readers ignore content after the last edge line, so
 emitted objects pipe straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
@@ -15,9 +15,8 @@ errors.  A short rank or packing is confirmed or reseeded under a second
 realization before it is reported (see ``matroid``); the packing and
 orientation reports then carry ``stats.guard``, and ``rank`` writes one
 line to stderr.  A kernel fault detected inside a matroid partition (``pack``,
-``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``, ``simulate gpd
---check``) exits 1 with a ``partition-failure`` report whose certificate
-kind is ``kernel-fault``.
+``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``) exits 1 with a
+``partition-failure`` report whose certificate kind is ``kernel-fault``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    VertexOrdering,
     read_digraph,
     read_graph,
     write_digraph,
@@ -50,16 +48,13 @@ from .matroid import (
     guarded_partition,
     pack_rigid,
     pack_tree_rigid,
-    rank_union,
 )
 from .orientation import OrientationError, PackingError, k_connected_orientation
 from .rigidity import RigidityOracle
 from .stochastic import (
-    back_degree_subgraph,
     binomial_tail_check,
     expected_min_preceding,
     independent_subgraph_stats,
-    mean_stderr,
 )
 from .stream import SeededStream
 
@@ -269,34 +264,6 @@ def _simulate_e0(args) -> int:
     return 0 if stats.passes or not stats.hypothesis_met else 1
 
 
-def _simulate_gpd(args) -> int:
-    graph = read_graph(_read_input(args))
-    root = SeededStream(args.seed)
-    subgraphs = []
-    for i in range(args.trials):
-        rng = root.child(i).rng()
-        perm = list(range(graph.n))
-        rng.shuffle(perm)
-        subgraphs.append(back_degree_subgraph(graph, VertexOrdering(perm), args.cap).edges)
-    mean, se = mean_stderr([float(len(edges)) for edges in subgraphs])
-    bound = float(args.cap * graph.n)
-    stats = {
-        "estimate": mean, "stderr": se, "bound": bound,
-        "verdict": mean - 3 * se >= bound, "trials": args.trials,
-    }
-    if args.check:
-        # one realization for every trial: the root stream of the seed
-        # (salt 0), which no trial draws; trial i draws child stream i + 1
-        oracles = [GraphicOracle(graph), RigidityOracle(graph, args.cap - 1, args.seed)]
-        # more edges than the union's rank bound are dependent by counting
-        room = sum(o.max_rank for o in oracles)
-        independent = sum(len(edges) <= room and rank_union(oracles, edges) == len(edges)
-                          for edges in subgraphs)
-        stats["independent_fraction"] = independent / args.trials
-    print(_report("back-degree-size", args.seed, stats))
-    return 0
-
-
 def _simulate_chernoff(args) -> int:
     root = SeededStream(args.seed)
     points = []
@@ -396,13 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_e0.add_argument("--t", type=int, required=True)
     s_e0.add_argument("--trials", type=int, default=100)
     s_e0.set_defaults(func=_simulate_e0)
-
-    s_gpd = simsubs.add_parser("gpd", parents=[reads, seeded])
-    s_gpd.add_argument("--cap", type=int, required=True)
-    s_gpd.add_argument("--trials", type=int, default=20)
-    s_gpd.add_argument("--check", action="store_true",
-                       help="also test graphic + rigidity independence at d = cap - 1")
-    s_gpd.set_defaults(func=_simulate_gpd)
 
     s_ch = simsubs.add_parser("chernoff", parents=[seeded])
     s_ch.add_argument("--trials", type=int, default=4000)

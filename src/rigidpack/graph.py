@@ -1,4 +1,4 @@
-"""Simple graphs, orientations, vertex orderings, and their text formats.
+"""Simple graphs, orientations, and their text formats.
 
 Vertices are dense 0-based integers.  Edges are stored canonically: each
 pair as (u, v) with u < v, the sequence sorted lexicographically.  Edge
@@ -147,25 +147,6 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.parent.m})"
 
 
-class VertexOrdering:
-    """A permutation of 0..n-1; position lookup is O(1)."""
-
-    __slots__ = ("perm", "position")
-
-    def __init__(self, perm: Sequence[int]):
-        n = len(perm)
-        pos = [-1] * n
-        for i, v in enumerate(perm):
-            if not 0 <= v < n or pos[v] != -1:
-                raise ValueError("ordering must be a permutation of 0..n-1")
-            pos[v] = i
-        self.perm: tuple[int, ...] = tuple(perm)
-        self.position: tuple[int, ...] = tuple(pos)
-
-    def __len__(self) -> int:
-        return len(self.perm)
-
-
 def induced_edge_count(graph: Graph, vertices: Iterable[int]) -> int:
     """Number of edges with both endpoints in the given vertex set."""
     xs = set(vertices)
@@ -175,12 +156,6 @@ def induced_edge_count(graph: Graph, vertices: Iterable[int]) -> int:
     if not xs:
         return 0
     return sum(1 for u, v in graph.edges if u in xs and v in xs)
-
-
-def back_neighbors(graph: Graph, ordering: VertexOrdering, v: int) -> set[int]:
-    """Neighbors of v that precede v in the ordering."""
-    pv = ordering.position[v]
-    return {u for u in graph.adj[v] if ordering.position[u] < pv}
 
 
 def in_neighbors_of_set(digraph: Digraph, vertices) -> set[int]:

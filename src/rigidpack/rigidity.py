@@ -24,12 +24,11 @@ d = 20 bases of K81 (R = 2820).
 One oracle answers for every part of a union of copies of R_d, and a
 delivered object is re-checked, all its parts at once, under one fresh
 realization (``verify_independent``), which catches kernel faults.  The
-salts drawn are 1 for packings and union ranks, 0 for orientation bases
-and ``simulate gpd --check``, ``salt + 2^20`` for re-checks and for the
-guard's second realization, and ``salt + 2^21`` for a re-check of a
-reseeded packing and for the guard of a re-check.  Only a re-check of a
-reseeded packing that itself comes out short goes further, to
-``salt + 3 * 2^20``.
+salts drawn are 1 for packings and union ranks, 0 for orientation bases,
+``salt + 2^20`` for re-checks and for the guard's second realization, and
+``salt + 2^21`` for a re-check of a reseeded packing and for the guard of
+a re-check.  Only a re-check of a reseeded packing that itself comes out
+short goes further, to ``salt + 3 * 2^20``.
 
 Every realization's rank is at most ``complete_rank(n, d)`` (see
 ``RigidityOracle.max_rank``), so a set of that many independent edges spans

@@ -1,27 +1,14 @@
-"""Randomized sparse-subgraph constructions and their empirical statistics.
+"""A randomized sparse-subgraph construction and its empirical statistics.
 
-Two seeded constructions are implemented exactly and instrumented:
-
-* ``sample_independent_subgraph``: fix a balanced orientation, sample a
-  vertex half U, and in t rounds give each core vertex up to d of its
-  forward neighbors that precede it in a fresh random order of U; outside
-  vertices then attach with up to t*d forward edges into U.  The result is
-  always independent in the t-fold d-rigidity union (each round grows by
-  vertices of in-round degree at most d, the attachments by degree at most
-  t*d), and its expected size concentrates near (td - 1/4) * n once the
-  minimum degree is large; ``independent_subgraph_stats`` measures that.
-
-* ``back_degree_subgraph``: scan vertices in a given order and keep, per
-  vertex, its back-neighbors capped at D; when the cap binds and the back
-  neighborhood is not a clique, keep D+1 including the lexicographically
-  first nonadjacent pair.  With cap d+1 the result can be independent in
-  the union of the graphic and d-rigidity matroids only when few vertices
-  take the 'extended' rule.  The union has rank at most (n - 1) + dn -
-  C(d+1, 2).  When every vertex past the first d+1 of the ordering has at
-  least cap back-neighbours, the result already has (d+1)n - C(d+2, 2)
-  edges plus one per 'extended' vertex, so more than d such vertices make
-  it dependent by counting.  ``simulate gpd --check`` tests independence on
-  concrete instances.
+``sample_independent_subgraph`` is a seeded construction, implemented
+exactly and instrumented: fix a balanced orientation, sample a vertex half
+U, and in t rounds give each core vertex up to d of its forward neighbors
+that precede it in a fresh random order of U; outside vertices then attach
+with up to t*d forward edges into U.  The result is always independent in
+the t-fold d-rigidity union (each round grows by vertices of in-round
+degree at most d, the attachments by degree at most t*d), and its expected
+size concentrates near (td - 1/4) * n once the minimum degree is large;
+``independent_subgraph_stats`` measures that.
 
 Everything takes an explicit SeededStream; trials are embarrassingly
 parallel and bit-reproducible.
@@ -38,7 +25,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .graph import Digraph, Graph, VertexOrdering, back_neighbors
+from .graph import Digraph, Graph
 from .orientation import balanced_orientation
 from .stream import SeededStream
 
@@ -196,53 +183,6 @@ def independent_subgraph_stats(
     bound = (t * d - 0.25) * graph.n
     met = graph.min_degree() >= t * 10 * d * (d + 1)
     return SubgraphSizeStats(trials, mu, se, bound, met, mu - 3 * se >= bound)
-
-
-@dataclass(frozen=True)
-class BackDegreeSubgraph:
-    """Capped back-neighborhood subgraph with per-vertex rule tags.
-
-    Tags: 'all' (back degree within cap), 'capped' (clique back
-    neighborhood, exactly cap picks), 'extended' (cap+1 picks including a
-    nonadjacent pair).
-    """
-
-    cap: int
-    edges: frozenset[int]
-    rules: tuple[str, ...]
-
-
-def back_degree_subgraph(graph: Graph, ordering: VertexOrdering, cap: int) -> BackDegreeSubgraph:
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    if len(ordering) != graph.n:
-        raise ValueError("ordering must cover every vertex")
-    edges: set[int] = set()
-    rules: list[str] = [""] * graph.n
-    for v in ordering.perm:
-        back = sorted(back_neighbors(graph, ordering, v))
-        if len(back) <= cap:
-            keep = back
-            rules[v] = "all"
-        else:
-            nonadj = next(
-                (
-                    (x, y)
-                    for ix, x in enumerate(back)
-                    for y in back[ix + 1 :]
-                    if not graph.has_edge(x, y)
-                ),
-                None,
-            )
-            if nonadj is None:
-                keep = back[:cap]
-                rules[v] = "capped"
-            else:
-                x, y = nonadj
-                keep = [x, y] + [u for u in back if u != x and u != y][: cap - 1]
-                rules[v] = "extended"
-        edges.update(graph.edge_id(v, u) for u in keep)
-    return BackDegreeSubgraph(cap, frozenset(edges), tuple(rules))
 
 
 def binomial_tail_bound(n: int, p: float, eta: float) -> float:

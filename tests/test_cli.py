@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from rigidpack import matroid, rigidity, stream
+from rigidpack import matroid
 from rigidpack.cli import build_parser, main
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph
 from rigidpack.graph import Graph, read_digraph, read_graph, write_graph
 from rigidpack.matroid import ForestState
 from rigidpack.rigidity import Realization, RigidityOracle, RigidityPartitionState
-from rigidpack.stream import stream_rng
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -243,7 +242,8 @@ def test_cached_parser_parses_each_call_afresh(capsys, monkeypatch):
     assert code == 0 and last_json(out)["seed"] == 4
     code, out = run_cli(capsys, monkeypatch, ["verify", "--k", "7"], stdin=k8)
     assert code == 0 and last_json(out)["seed"] == 0
-    for argv in (["rank"], ["rank", "--d", "x"], ["pack", "--d", "2", "--graphic"], []):
+    for argv in (["rank"], ["rank", "--d", "x"], ["pack", "--d", "2", "--graphic"], [],
+                 ["simulate", "gpd", "--cap", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -273,16 +273,6 @@ def test_simulate_e0(capsys, monkeypatch):
     assert code == 0
 
 
-def test_simulate_gpd(capsys, monkeypatch):
-    text = write_graph(complete_graph(8))
-    code, out = run_cli(capsys, monkeypatch, [
-        "simulate", "gpd", "--cap", "3", "--trials", "5", "--seed", "2", "--check",
-    ], stdin=text)
-    assert code == 0
-    report = last_json(out)
-    assert report["stats"]["independent_fraction"] == 1.0
-
-
 def test_simulate_chernoff(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch,
                         ["simulate", "chernoff", "--trials", "500", "--seed", "0"])
@@ -295,7 +285,6 @@ def test_simulate_chernoff(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["ordering", "--set-size", "10", "--d", "3"],
     ["e0", "--d", "1", "--t", "1"],
-    ["gpd", "--cap", "3"],
     ["chernoff"],
 ])
 def test_simulate_zero_trials_is_usage_error(capsys, monkeypatch, argv):
@@ -329,7 +318,7 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     (["rank", "--d", "2"], "-o"),
     (["verify", "--k", "2"], "--output"),
     (["simulate", "e0", "--d", "1", "--t", "1"], "-o"),
-    (["simulate", "gpd", "--cap", "3"], "-o"),
+    (["simulate", "chernoff"], "-o"),
     (["simulate", "ordering", "--set-size", "10", "--d", "3"], "-o"),
     (["simulate", "chernoff"], "-i"),
     (["simulate", "ordering", "--set-size", "10", "--d", "3"], "--input"),
@@ -388,29 +377,6 @@ def test_rank_union_draws_one_realization(capsys, monkeypatch):
     assert len(drawn) == 1
 
 
-def test_simulate_gpd_realization_stream_is_no_trials(capsys, monkeypatch):
-    # the Schwartz-Zippel bound needs the rigidity coordinates independent of
-    # every trial's vertex ordering, so no trial may draw the realization's
-    # stream, however many trials run
-    drawn = {"trials": set(), "realization": set()}
-
-    def recording(kind):
-        def rng(seed, stream_id=0):
-            drawn[kind].add((seed, stream_id))
-            return stream_rng(seed, stream_id)
-        return rng
-
-    monkeypatch.setattr(stream, "stream_rng", recording("trials"))
-    monkeypatch.setattr(rigidity, "stream_rng", recording("realization"))
-    text = write_graph(complete_graph(8))
-    code, _ = run_cli(capsys, monkeypatch, [
-        "simulate", "gpd", "--cap", "3", "--trials", "20", "--seed", "2", "--check",
-    ], stdin=text)
-    assert code == 0
-    assert len(drawn["trials"]) == 20 and drawn["realization"]
-    assert not drawn["trials"] & drawn["realization"]
-
-
 @pytest.mark.parametrize("argv,value", [
     (["--t", "2"], "42"),
     ([], "21"),
@@ -455,18 +421,3 @@ def test_reports_carry_the_guard_only_when_it_ran(capsys, monkeypatch, unlucky):
     code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2", "--verify"], stdin=k17)
     stats = last_json(out)["stats"]
     assert code == 0 and stats["verified"] is True and stats["guard"] == "reseeded"
-
-
-def test_simulate_gpd_check_skips_what_counting_decides(capsys, monkeypatch):
-    # every trial keeps more than (n - 1) + (2n - 3) = 86 edges of this host,
-    # so none is partitioned, and the verdict is the one partitions gave
-    calls = []
-    run = matroid.partition
-    monkeypatch.setattr(matroid, "partition", lambda *args: calls.append(args) or run(*args))
-    host = write_graph(gnp_graph(30, 0.4, seed=3))
-    code, out = run_cli(capsys, monkeypatch, [
-        "simulate", "gpd", "--cap", "3", "--trials", "15", "--check", "--seed", "2",
-    ], stdin=host)
-    stats = last_json(out)["stats"]
-    assert code == 0 and stats["independent_fraction"] == 0.0 and calls == []
-    assert stats["estimate"] == pytest.approx(92.2667, abs=1e-4)

@@ -6,8 +6,6 @@ from rigidpack.graph import (
     Digraph,
     Graph,
     GraphFormatError,
-    VertexOrdering,
-    back_neighbors,
     in_neighbors_of_set,
     induced_edge_count,
     read_digraph,
@@ -52,32 +50,6 @@ def test_induced_edge_count_monotone():
         ys = xs | set(rng.sample(range(9), rng.randrange(10)))
         assert induced_edge_count(g, xs) <= induced_edge_count(g, ys)
     assert induced_edge_count(g, range(g.n)) == g.m
-
-
-def test_back_neighbors_examples():
-    star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    order = VertexOrdering([1, 2, 3, 4, 0])   # center last
-    assert back_neighbors(star, order, 0) == {1, 2, 3, 4}
-    assert back_neighbors(star, order, 1) == set()
-    tri = complete_graph(3)
-    order = VertexOrdering([0, 1, 2])
-    assert back_neighbors(tri, order, 2) == {0, 1}
-
-
-def test_back_neighbors_partition_each_edge():
-    g = gnp_graph(10, 0.4, seed=9)
-    perm = list(range(10))
-    random.Random(3).shuffle(perm)
-    order = VertexOrdering(perm)
-    for u, v in g.edges:
-        assert (u in back_neighbors(g, order, v)) != (v in back_neighbors(g, order, u))
-
-
-def test_vertex_ordering_validates():
-    with pytest.raises(ValueError):
-        VertexOrdering([0, 0, 1])
-    with pytest.raises(ValueError):
-        VertexOrdering([0, 2])
 
 
 def test_digraph_degree_sum():

@@ -1,15 +1,13 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from rigidpack.generators import complete_graph, gnp_graph, path_graph
-from rigidpack.graph import Graph, VertexOrdering, back_neighbors
-from rigidpack.matroid import GraphicOracle, rank_union
+from rigidpack.graph import Graph
+from rigidpack.matroid import rank_union
 from rigidpack.rigidity import RigidityOracle, independent_d1
 from rigidpack.stochastic import (
-    back_degree_subgraph,
     binomial_tail_bound,
     binomial_tail_check,
     expected_min_preceding,
@@ -18,14 +16,6 @@ from rigidpack.stochastic import (
     sample_independent_subgraph,
 )
 from rigidpack.stream import CHILDREN, SeededStream
-
-
-def back_degree_independent(g, order, d, seed=0):
-    """The ``simulate gpd --check`` test: is the cap d+1 subgraph independent
-    in the union of the graphic and d-rigidity matroids?"""
-    built = back_degree_subgraph(g, order, d + 1)
-    oracles = [GraphicOracle(g), RigidityOracle(g, d, seed)]
-    return rank_union(oracles, built.edges) == len(built.edges)
 
 
 def test_mean_stderr():
@@ -124,98 +114,6 @@ def test_stats_unmet_hypothesis_flagged():
     empty = Graph(5, [])
     stats = independent_subgraph_stats(empty, 2, 1, trials=5, seed=1)
     assert stats.mean == 0.0 and not stats.hypothesis_met
-
-
-def test_back_degree_all_edges_when_sparse():
-    g = path_graph(9)
-    order = VertexOrdering(list(range(9)))
-    built = back_degree_subgraph(g, order, 3)
-    assert built.edges == frozenset(range(g.m))
-    assert set(built.rules) == {"all"}
-
-
-def test_back_degree_complete_graph_rules():
-    g = complete_graph(7)
-    order = VertexOrdering(list(range(7)))
-    built = back_degree_subgraph(g, order, 3)
-    assert "extended" not in built.rules        # no nonadjacent pair exists
-    for i, v in enumerate(order.perm):
-        chosen = [e for e in built.edges
-                  if v in g.edges[e] and order.position[g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]] < i]
-        assert len(chosen) == min(i, 3)
-
-
-def test_back_degree_k33_matches_rule_text():
-    # bipartite 3+3: re-derive the construction from its defining rules
-    edges = [(u, v) for u in range(3) for v in range(3, 6)]
-    g = Graph(6, edges)
-    from itertools import permutations
-
-    for perm in permutations(range(6)):
-        order = VertexOrdering(list(perm))
-        built = back_degree_subgraph(g, order, 2)
-        expect_edges = set()
-        expect_rules = {}
-        for v in perm:
-            back = sorted(back_neighbors(g, order, v))
-            if len(back) <= 2:
-                keep, rule = back, "all"
-            else:
-                pair = next(
-                    ((x, y) for i, x in enumerate(back) for y in back[i + 1:]
-                     if not g.has_edge(x, y)),
-                    None,
-                )
-                if pair is None:
-                    keep, rule = back[:2], "capped"
-                else:
-                    keep = [*pair] + [u for u in back if u not in pair][:1]
-                    rule = "extended"
-            expect_rules[v] = rule
-            expect_edges.update(g.edge_id(v, u) for u in keep)
-        assert built.edges == frozenset(expect_edges)
-        assert tuple(expect_rules[v] for v in range(6)) == built.rules
-
-
-def test_back_degree_per_vertex_count():
-    g = gnp_graph(12, 0.6, seed=5)
-    rng = random.Random(2)
-    perm = list(range(12))
-    rng.shuffle(perm)
-    order = VertexOrdering(perm)
-    built = back_degree_subgraph(g, order, 3)
-    for v in range(12):
-        back = back_neighbors(g, order, v)
-        mine = [e for e in built.edges
-                if v in g.edges[e]
-                and (g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]) in back]
-        expected = min(len(back), 3) + (1 if built.rules[v] == "extended" else 0)
-        assert len(mine) == expected
-
-
-def test_back_degree_independent_on_complete_inputs():
-    g = complete_graph(8)
-    rng = random.Random(11)
-    for trial in range(8):
-        perm = list(range(8))
-        rng.shuffle(perm)
-        assert back_degree_independent(g, VertexOrdering(perm), 2, seed=trial)
-
-
-def test_back_degree_independent_d1_two_forests():
-    g = complete_graph(6)
-    order = VertexOrdering(list(range(6)))
-    built = back_degree_subgraph(g, order, 2)
-    assert back_degree_independent(g, order, 1)
-    # explicit split: union of graphic + graphic covers the kept edges
-    assert rank_union([GraphicOracle(g), GraphicOracle(g)], built.edges) == len(built.edges)
-
-
-def test_back_degree_k5_plus_pendant():
-    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)]
-    g = Graph(6, edges)
-    order = VertexOrdering([0, 1, 2, 3, 4, 5])   # clique first, pendant last
-    assert back_degree_independent(g, order, 2)
 
 
 def test_binomial_tail():
