@@ -285,6 +285,7 @@ def test_simulate_chernoff(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["ordering", "--set-size", "10", "--d", "3"],
     ["e0", "--d", "1", "--t", "1"],
+    ["ordering", "--set-size", "3", "--d", "3"],
     ["chernoff"],
 ])
 def test_simulate_zero_trials_is_usage_error(capsys, monkeypatch, argv):
