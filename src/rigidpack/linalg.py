@@ -55,13 +55,20 @@ every slot, applied through per-slot masks until no slot reaches 2^31.
   rank), not every member id.  Removal is a downdate: the row with the
   lowest pivot among those holding the member's slot clears that slot from
   every other row and is dropped.
-* **One reduction per placed row.**  A ``circuit`` query that finds its
-  row independent saves the reduced row and the pivots it hit.  The next
-  ``insert`` of the same row object (the apply step of an augmenting path)
-  uses them instead of reducing the row again.  Every ``insert`` and
-  ``remove`` drops the saved reduction, so it is never used against a
-  changed basis; other queries only canonicalise kept rows, which changes
-  no value mod PRIME.  Rows are treated as immutable.
+* **One reduction per placed row.**  The independence probe ``extends``
+  reduces its row; when the row is independent it saves the reduced row
+  and the pivots it hit.  The next ``insert`` of the same row object (the
+  apply step of an augmenting path) uses them instead of reducing the row
+  again.  Every ``insert`` and ``remove`` drops the saved reduction, so it
+  is never used against a changed basis; other queries only canonicalise
+  kept rows, which changes no value mod PRIME.  Rows are treated as
+  immutable.
+* **Circuits of dependent rows only.**  ``circuit`` assumes its row is
+  dependent, which the caller has learnt from a probe.  In reduced
+  row-echelon form such a row is the sum of its own entries at the pivot
+  columns times the kept rows there, so ``circuit`` reads those entries as
+  coefficients and sums only the tracking parts; it makes no structural
+  reduction.
 * **Residues.**  ``residue`` returns a reduced row whose entries depend on
   the pivots chosen; only whether it is zero carries meaning.
 """
@@ -90,9 +97,9 @@ class RowBasis:
     ``rows`` maps each pivot column to the structural part of its kept row
     and ``tracks`` to the tracking part; ``pending`` counts, per pivot, the
     updates made since the row was last canonical (see the module notes).
-    ``index_of`` maps each live member to its tracking slot.  A query that
-    reduces to zero yields its fundamental circuit by reading the tracking
-    slots of the reduced row.
+    ``index_of`` maps each live member to its tracking slot.  A dependent
+    row yields its fundamental circuit by reading the tracking slots of
+    its expansion in the kept rows.
     """
 
     __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
@@ -109,8 +116,8 @@ class RowBasis:
         self.index_of: dict[int, int] = {}
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
-        # (row, reduced row, hits) of the last circuit query that found its
-        # row independent; dropped by every insert and remove
+        # (row, reduced row, hits) of the last probe that found its row
+        # independent; dropped by every insert and remove
         self._saved: tuple[Sequence[int], int, list[tuple[int, int]]] | None = None
         # per-slot masks, wide enough for the structural and the tracking part
         self._ones = int.from_bytes(
@@ -172,7 +179,7 @@ class RowBasis:
 
         A tracking basis needs the member id of every row it is given, and
         that member must not be live.  The reduction saved by the last
-        ``circuit`` query is reused when that query was for this same row
+        ``extends`` probe is reused when that probe was for this same row
         object.
         """
         if self.track_width and member is None:
@@ -225,18 +232,37 @@ class RowBasis:
         return [int.from_bytes(raw[i : i + _ENTRY_BYTES], "little")
                 for i in range(0, len(raw), _SLOT_BYTES)]
 
-    def circuit(self, entries: Sequence[int]) -> set[int] | None:
-        """Members with nonzero coefficient in the expansion of a dependent row.
+    def extends(self, entries: Sequence[int]) -> bool:
+        """Whether the row is independent of the basis.
 
-        Returns None when the row is independent of the basis.  Only valid
-        with tracking enabled.
+        An independent row's reduction is saved for the ``insert`` of the
+        same row object that may follow (module notes).
         """
-        if not self.track_width:
-            raise ValueError("circuit queries need track_width > 0")
         work, hits = self._reduce(entries)
         if work:
             self._saved = (entries, work, hits)
-            return None
+        return bool(work)
+
+    def circuit(self, entries: Sequence[int]) -> set[int]:
+        """Members with nonzero coefficient in the expansion of a dependent row.
+
+        The row must be dependent on the basis (``extends`` is False); on
+        an independent row the result means nothing.  Only valid with
+        tracking enabled.
+        """
+        if not self.track_width:
+            raise ValueError("circuit queries need track_width > 0")
+        # a dependent row is the sum of row[p] * rows[p] over the pivots p,
+        # since every kept row is 1 at its own pivot and 0 at the others'
+        rows, pending = self.rows, self.pending
+        hits = []
+        for c in compress(range(self.ncols), entries):
+            if c in rows:
+                v = entries[c] % PRIME
+                if v:
+                    hits.append((c, v))
+                    if c in pending:
+                        self._clean(c)
         track = self._sum(0, hits, self.tracks)
         # bit PRIME_BITS of a canonical slot plus PRIME is set iff the slot is nonzero
         flags = ((track + self._low) >> PRIME_BITS) & self._ones

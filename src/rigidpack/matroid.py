@@ -8,7 +8,24 @@ independent).  A direct insert is the path of length 0.  A shortest path
 is applied as a chain of swaps; if no path exists the element is spanned
 by the union and stays uncovered for good.  Sources are processed in
 canonical edge order and ties break lexicographically, so runs are
-reproducible.  Every circuit query goes to the part's state as it stands.
+reproducible.  Every query goes to the part's state as it stands.
+
+Each layer of the search runs in two passes.  The probe pass asks each
+(x, part) in order, x in the layer and the part not holding x, whether
+part + x is independent (``extends``); the first yes is the sink.  A part
+that holds its oracle's ``max_rank`` elements is a basis, so it can never
+be a sink and is not probed.  Only a layer with no sink takes the label
+pass, which reads ``circuit(x)`` of every such (x, part), full parts
+included, in the same order, and labels the next layer from it.  A
+one-pass search that read a circuit for every dependent (x, part) would
+find the same sink, since a full part is never one.  The circuits it read
+in the sink layer labelled elements that no path reads, because a path
+is traced back through earlier layers only; and it labelled every layer
+without a sink from the same circuits in the same order.  So every label
+that matters, every path, every part and the dead set below come out as
+they would in one pass, with no circuit read in a layer that has a sink.
+That is also the precondition of the state protocol: ``circuit`` is asked
+only of an element the state does not extend with.
 
 ``partition`` also owns the dead set.  A search from e that finds no path
 labels a set S, and every element of S is dead for the rest of the run:
@@ -59,8 +76,15 @@ from .rigidity import RigidityOracle, independent_d1
 
 
 class MatroidState(Protocol):
+    """One part's independent set.
+
+    ``circuit`` may be asked only of an element that the state does not
+    extend with (``extends`` is False for it as the state stands).
+    """
+
     def insert(self, edge_id: int) -> bool: ...
-    def circuit(self, edge_id: int) -> set[int] | None: ...
+    def extends(self, edge_id: int) -> bool: ...
+    def circuit(self, edge_id: int) -> set[int]: ...
     def remove(self, edge_id: int) -> None: ...
 
 
@@ -127,11 +151,14 @@ class ForestState:
         self._adj.setdefault(v, []).append((u, edge_id))
         return True
 
-    def circuit(self, edge_id: int) -> set[int] | None:
+    def extends(self, edge_id: int) -> bool:
+        u, v = self.graph.edges[edge_id]
+        return self._root(u, v) is None
+
+    def circuit(self, edge_id: int) -> set[int]:
+        """The forest path between the edge's ends; the edge must close a cycle."""
         u, v = self.graph.edges[edge_id]
         parents = self._root(u, v)
-        if parents is None:
-            return None
         out = set()
         x = v
         while x != u:
@@ -182,13 +209,16 @@ def partition(
     states: list[MatroidState] = [o.new_state() for o in oracles]
     part_of: dict[int, int] = {}
     dead: set[int] = set()
-    full = sum(o.max_rank for o in oracles)
+    # elements each part can still take; only a path's sink part grows
+    room = [o.max_rank for o in oracles]
+    full = sum(room)
     for e in order:
         if len(part_of) == full:
             break
-        moves = _search(e, states, part_of, dead)
+        moves = _search(e, states, part_of, dead, room)
         if moves is not None:
             _augment(moves, states, part_of)
+            room[moves[0][0]] -= 1
     if len(part_of) == full:
         dead = set(order)
     parts: list[set[int]] = [set() for _ in states]
@@ -198,30 +228,35 @@ def partition(
                             frozenset(dead))
 
 
-def _search(e, states, part_of, dead) -> list[tuple[int, int, int | None]] | None:
+def _search(e, states, part_of, dead, room) -> list[tuple[int, int, int | None]] | None:
     """Shortest augmenting path from e as moves (part, added, removed), or None.
 
-    Breadth-first, lexicographic within layers; the first part whose circuit
-    of x is None is the sink (the path of length 0 when x is e).  A dead
-    element is never labelled; a failed search marks every labelled one dead.
+    Breadth-first, lexicographic within layers, two passes per layer
+    (module notes): the first part with room that x extends is the sink
+    (the path of length 0 when x is e); only a layer without one reads
+    circuits.  A dead element is never labelled; a failed search marks
+    every labelled one dead.
     """
     prev: dict[int, tuple[int, int]] = {e: (-1, -1)}
     frontier = [e]
     while frontier:
-        nxt: list[int] = []
         for x in frontier:
+            home = part_of.get(x)
             for i, state in enumerate(states):
-                if part_of.get(x) == i:
-                    continue
-                circ = state.circuit(x)
-                if circ is None:
+                if i != home and room[i] and state.extends(x):
                     moves = [(i, x, None)]
                     while prev[x] != (-1, -1):
                         px, m = prev[x]
                         moves.append((m, px, x))
                         x = px
                     return moves
-                for y in circ:
+        nxt: list[int] = []
+        for x in frontier:
+            home = part_of.get(x)
+            for i, state in enumerate(states):
+                if i == home:
+                    continue
+                for y in state.circuit(x):
                     if y not in prev and y not in dead:
                         prev[y] = (x, i)
                         nxt.append(y)

@@ -208,9 +208,11 @@ class RigidityPartitionState:
     """Incremental independent set over one oracle, with exchange queries.
 
     Wraps a tracking RowBasis whose member ids are edge indices, with one
-    recycled tracking slot per live edge; ``circuit(e)`` reports
-    the fundamental circuit of a dependent edge, i.e. exactly the members y
-    for which part - y + e stays independent.
+    recycled tracking slot per live edge.  ``extends(e)`` asks whether
+    part + e is independent, and saves the row's reduction for the insert
+    of e that may follow.  ``circuit(e)``, asked only of an edge that does
+    not extend the part, reports its fundamental circuit: exactly the
+    members y for which part - y + e is independent.
     """
 
     __slots__ = ("oracle", "basis")
@@ -224,7 +226,10 @@ class RigidityPartitionState:
     def insert(self, edge_id: int) -> bool:
         return self.basis.insert(self.oracle.row(edge_id), edge_id)
 
-    def circuit(self, edge_id: int) -> set[int] | None:
+    def extends(self, edge_id: int) -> bool:
+        return self.basis.extends(self.oracle.row(edge_id))
+
+    def circuit(self, edge_id: int) -> set[int]:
         return self.basis.circuit(self.oracle.row(edge_id))
 
     def remove(self, edge_id: int) -> None:

@@ -160,6 +160,12 @@ def test_row_basis_remove_consistency():
         assert len(basis) == len(live) == bareiss_rank([raw[m] for m in live])
 
 
+def dependent_circuit(basis, row):
+    """The row's circuit, after a probe that finds the row dependent (circuit's precondition)."""
+    assert not basis.extends(row)
+    return basis.circuit(row)
+
+
 def test_row_basis_insert_rejects_a_live_member():
     basis = RowBasis(3, track_width=3)
     assert basis.insert([1, 0, 0], 7)
@@ -167,8 +173,8 @@ def test_row_basis_insert_rejects_a_live_member():
         with pytest.raises(ValueError, match="already live"):
             basis.insert(row, 7)
     assert len(basis) == 1 and basis.index_of == {7: 0}
-    assert basis.circuit([1, 1, 0]) is None
-    assert basis.circuit([3, 0, 0]) == {7}
+    assert basis.extends([1, 1, 0])
+    assert dependent_circuit(basis, [3, 0, 0]) == {7}
     basis.remove(7)
     assert len(basis) == 0 and sorted(basis.free_slots) == [0, 1, 2]
     assert basis.insert([0, 1, 0], 7)  # a removed member may come back
@@ -187,7 +193,8 @@ def test_row_basis_circuit_is_fundamental():
             probe[j] = (probe[j] + (m + 2) * raw[m][j]) % PRIME
     circ = basis.circuit(probe)
     assert circ == set(support)
-    assert basis.circuit(raw[11]) is None or 11 not in live
+    # five live rows span GF(PRIME)^5, so every other row is dependent
+    assert dependent_circuit(basis, raw[11]) == brute_circuit({m: raw[m] for m in live}, raw[11])
 
 
 def rank_mod_p(rows):
@@ -250,6 +257,9 @@ def test_row_basis_differential(seed, monkeypatch):
     def no_insert(*args, **kwargs):
         raise AssertionError("remove re-inserted a row")
 
+    def no_reduce(*args, **kwargs):
+        raise AssertionError("insert reduced a row whose reduction was saved")
+
     def remove(victim):
         with monkeypatch.context() as patched:
             patched.setattr(RowBasis, "insert", no_insert)
@@ -271,12 +281,13 @@ def test_row_basis_differential(seed, monkeypatch):
         elif op < 0.5:
             insert(rng.choice([m for m in range(len(raw)) if m not in live]))
         elif op < 0.75:
-            # a query that finds its row independent saves the reduction for
-            # an insert of the same row; any insert or remove must drop it
+            # a probe that finds its row independent saves the reduction for
+            # the next insert of the same row, which reduces nothing; any
+            # insert or remove must drop it
             m = rng.choice([m for m in range(len(raw)) if m not in live])
-            circ = basis.circuit(raw[m])
-            assert circ == brute_circuit(live, raw[m])
-            if circ is None:
+            expected = brute_circuit(live, raw[m])
+            assert basis.extends(raw[m]) == (expected is None)
+            if expected is None:
                 way = rng.randrange(3)
                 if way == 1:
                     # a different row first, one that makes the queried row dependent
@@ -285,8 +296,16 @@ def test_row_basis_differential(seed, monkeypatch):
                     insert(len(raw) - 1)
                 elif way == 2 and live:
                     remove(rng.choice(sorted(live)))
-                insert(m)
-                assert basis.circuit(raw[m]) == brute_circuit(live, raw[m])
+                if way == 0:
+                    with monkeypatch.context() as patched:
+                        patched.setattr(RowBasis, "_reduce", no_reduce)
+                        insert(m)
+                else:
+                    insert(m)
+                # kept, or a multiple of a row that is: dependent either way
+                assert dependent_circuit(basis, raw[m]) == brute_circuit(live, raw[m])
+            else:
+                assert basis.circuit(raw[m]) == expected
         else:
             if live and rng.random() < 0.5:
                 # a combination of live rows, so the query is dependent
@@ -296,7 +315,10 @@ def test_row_basis_differential(seed, monkeypatch):
                     probe = [(p + x * q) % PRIME for p, q in zip(probe, live[m])]
             else:
                 probe = raw[rng.randrange(len(raw))]
-            assert basis.circuit(probe) == brute_circuit(live, probe)
+            expected = brute_circuit(live, probe)
+            assert basis.extends(probe) == (expected is None)
+            if expected is not None:
+                assert basis.circuit(probe) == expected
         assert sorted(basis.index_of) == sorted(live)
         # rows independent over GF(PRIME) are independent over the rationals
         assert len(basis) == len(live) == bareiss_rank(list(live.values()))
@@ -438,10 +460,10 @@ def test_row_basis_slot_bound_under_pending_updates():
     assert stressed == [True, True]
     # queries still see the exact basis: every raw row's circuit is itself
     for m, row in enumerate(raw):
-        assert basis.circuit(row) == {m}
+        assert dependent_circuit(basis, row) == {m}
     live = dict(enumerate(raw))
     probe = [(a + 3 * b) % PRIME for a, b in zip(raw[0], raw[7])]
-    assert basis.circuit(probe) == {0, 7}
+    assert dependent_circuit(basis, probe) == {0, 7}
     # every row has since served as a multiplier, so every row is canonical
     assert not basis.pending
     for pivot, row in basis.rows.items():
@@ -459,10 +481,10 @@ def test_row_basis_slot_bound_under_pending_updates():
     assert sorted(basis.pending.values()) == [units - FOLD] * len(live) == [3] * 8
     assert stressed == [True, True]
     for m, row in live.items():
-        assert basis.circuit(row) == {m}
+        assert dependent_circuit(basis, row) == {m}
     a, b = head + units + 1, head + units + 3
     probe = [(x + 5 * y) % PRIME for x, y in zip(raw[a], raw[b])]
-    assert basis.circuit(probe) == brute_circuit(live, probe) == {a, b}
+    assert dependent_circuit(basis, probe) == brute_circuit(live, probe) == {a, b}
 
 
 def test_fold_is_the_largest_count_a_slot_holds():
@@ -516,18 +538,18 @@ def test_row_basis_folds_wide_sums():
             return None
         return {y for y in live if rank_without(y) == full}
 
-    def combination(members):
-        """The sum of the unit rows of members."""
-        row = [0] * k + [(PRIME - 1) * len(members) % PRIME] * 3
+    def combination(members, x=1):
+        """x times the sum of the unit rows of members."""
+        row = [0] * k + [(PRIME - x) * len(members) % PRIME] * 3
         for m in members:
-            row[m] = 1
+            row[m] = x
         return row
 
     assert live_rank() == k
-    # _reduce: k - 3 products (PRIME - 1)^2 land in each tail slot
+    # the probe's _reduce: k - 3 products (PRIME - 1)^2 land in each tail slot
     most = set(range(3, k))
     probe = combination(most)
-    assert basis.circuit(probe) == closed_circuit(probe) == most
+    assert dependent_circuit(basis, probe) == closed_circuit(probe) == most
     # from here on the live rows stay independent (live_rank), so a
     # combination's circuit is exactly the members it combines
 
@@ -538,8 +560,10 @@ def test_row_basis_folds_wide_sums():
     assert basis.insert(raw[k], k)
     live[k] = raw[k]
     assert live_rank() == k + 1
-    # circuit's tracking sum: k - 3 products (PRIME - 1)^2 in member k's slot
-    assert basis.circuit(combination(most)) == most
+    # circuit's tracking sum: its coefficients are the row's own entries
+    # at the pivots, PRIME - 1 here, so k - 3 products (PRIME - 1)^2 land
+    # in member k's slot
+    assert dependent_circuit(basis, combination(most, PRIME - 1)) == most
 
     # insert's tracking sum: a dense row with reduced pivot entry 1 hitting
     # every unit row with coefficient PRIME - 1 adds k products
@@ -551,11 +575,11 @@ def test_row_basis_folds_wide_sums():
     live[k + 1] = row
     assert live_rank() == k + 2
     for m in (0, k, k + 1):
-        assert basis.circuit(raw[m]) == {m}
+        assert dependent_circuit(basis, raw[m]) == {m}
     probe = [(a + 7 * b) % PRIME for a, b in zip(raw[k + 1], combination(range(k // 2)))]
-    assert basis.circuit(probe) == set(range(k // 2)) | {k + 1}
+    assert dependent_circuit(basis, probe) == set(range(k // 2)) | {k + 1}
     basis.remove(k)
     del live[k]
     assert live_rank() == k + 1
-    assert basis.circuit(combination(range(1, k))) == set(range(1, k))
-    assert basis.circuit(raw[k]) is None
+    assert dependent_circuit(basis, combination(range(1, k))) == set(range(1, k))
+    assert basis.extends(raw[k])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -184,6 +185,9 @@ class RefusingState:
     def insert(self, edge_id):
         return not self.after_remove and self.inner.insert(edge_id)
 
+    def extends(self, edge_id):
+        return self.inner.extends(edge_id)
+
     def circuit(self, edge_id):
         return self.inner.circuit(edge_id)
 
@@ -203,35 +207,42 @@ def test_partition_raises_on_a_refused_path_insert():
 
 
 class CountingOracle:
-    """An oracle whose states record every insert they refuse and every circuit query."""
+    """An oracle whose states count, in one shared Counter, every refused
+    insert, probe and circuit read, and every probe of a part that already
+    holds ``max_rank`` elements."""
 
-    def __init__(self, inner, refused, queried=None):
-        self.inner, self.refused = inner, refused
-        self.queried = [] if queried is None else queried
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
 
     @property
     def max_rank(self):
         return self.inner.max_rank
 
     def new_state(self):
-        return CountingState(self.inner.new_state(), self.refused, self.queried)
+        return CountingState(self.inner.new_state(), self.inner.max_rank, self.log)
 
 
 class CountingState:
-    def __init__(self, inner, refused, queried):
-        self.inner, self.refused, self.queried = inner, refused, queried
+    def __init__(self, inner, cap, log):
+        self.inner, self.cap, self.log, self.size = inner, cap, log, 0
 
     def insert(self, edge_id):
         ok = self.inner.insert(edge_id)
-        if not ok:
-            self.refused.append(edge_id)
+        self.size += ok
+        self.log["refused"] += not ok
         return ok
 
+    def extends(self, edge_id):
+        self.log["probes"] += 1
+        self.log["full_probes"] += self.size >= self.cap
+        return self.inner.extends(edge_id)
+
     def circuit(self, edge_id):
-        self.queried.append(edge_id)
+        self.log["circuits"] += 1
         return self.inner.circuit(edge_id)
 
     def remove(self, edge_id):
+        self.size -= 1
         self.inner.remove(edge_id)
 
 
@@ -265,8 +276,8 @@ def colliding_d1_oracle(g, rng):
 def assert_dead_set_closed(oracles, result):
     """Every uncovered element is dead, and each part's dead members span the dead set.
 
-    For a dead x and a part i not holding x, part i's circuit of x exists
-    and lies inside the dead set: no exchange arc leaves it.
+    For a dead x and a part i not holding x, part i + x is dependent, and
+    x's circuit in part i lies inside the dead set: no exchange arc leaves it.
     """
     covered = frozenset().union(*result.parts)
     assert result.ground - covered <= result.dead <= result.ground
@@ -275,8 +286,8 @@ def assert_dead_set_closed(oracles, result):
         for y in sorted(part):
             assert state.insert(y)
         for x in sorted(result.dead - part):
-            circ = state.circuit(x)
-            assert circ is not None and circ <= result.dead
+            assert not state.extends(x)
+            assert state.circuit(x) <= result.dead
 
 
 def test_partition_matches_union_rank_formula_without_refused_inserts():
@@ -301,13 +312,13 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
                 ([colliding] * t, graphic_union_rank(live, t)),
             ]
             for oracles, total in cases:
-                refused = []
-                result = partition([CountingOracle(o, refused) for o in oracles], range(g.m))
+                log = Counter()
+                result = partition([CountingOracle(o, log) for o in oracles], range(g.m))
                 assert result.total == total
                 # every path is found on circuits the states give as they stand,
                 # and a shortest path keeps every part independent: no insert
                 # on it is refused, even under a colliding realization
-                assert refused == []
+                assert log["refused"] == 0
                 assert_dead_set_closed(oracles, result)
     assert zero_rows > 0
 
@@ -315,16 +326,77 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
 def test_dead_set_prunes_circuit_queries():
     # 229 edges, 114 placed: 39 searches fail, and the elements they label
     # are never queried again; both parts are bases after the 153rd edge, so
-    # the last 76 edges start no search.  With the dead set alone this
-    # partition makes 524 circuit queries, with neither 8096.
+    # the last 76 edges start no search.  A one-pass search, which reads a
+    # circuit for every dependent (x, part), makes 364 queries here; with
+    # the dead set alone it makes 524, with neither 8096.  The two passes
+    # probe 252 times and read 192 circuits, only in layers without a sink.
     g = gnp_graph(30, 0.5, seed=4)
-    queried = []
+    log = Counter()
     oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
-    result = partition([CountingOracle(o, [], queried) for o in oracles], range(g.m))
+    result = partition([CountingOracle(o, log) for o in oracles], range(g.m))
     assert result.total == 2 * complete_rank(30, 2) == 114
-    assert len(queried) == 364 < 524 < 8096
+    assert (log["probes"], log["circuits"]) == (252, 192)
+    assert log["probes"] < 364 < 524 < 8096
     assert result.dead == result.ground
     assert_dead_set_closed(oracles, result)
+
+
+def one_pass_search(e, states, part_of, dead, room):
+    """The reference search: one pass per layer, every part probed (room is
+    ignored), every dependent (x, part) read as it is met, sink layers included."""
+    prev = {e: (-1, -1)}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, state in enumerate(states):
+                if part_of.get(x) == i:
+                    continue
+                if state.extends(x):
+                    moves = [(i, x, None)]
+                    while prev[x] != (-1, -1):
+                        px, m = prev[x]
+                        moves.append((m, px, x))
+                        x = px
+                    return moves
+                for y in state.circuit(x):
+                    if y not in prev and y not in dead:
+                        prev[y] = (x, i)
+                        nxt.append(y)
+        frontier = sorted(nxt)
+    dead.update(prev)
+    return None
+
+
+def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
+    # parts, dead sets and totals agree with the one-pass search on every
+    # host; the two passes never probe a full part and read fewer circuits
+    rng = random.Random(22)
+    cases = []
+    for _ in range(36):
+        g = gnp_graph(rng.randint(8, 16), rng.uniform(0.3, 0.9), seed=rng.randrange(10**6))
+        d, t = rng.randint(1, 3), 1 + len(cases) % 3
+        head = [GraphicOracle(g)] if len(cases) % 4 == 3 else []
+        cases.append(head + [RigidityOracle(g, d, 5, salt=1)] * t)
+    for _ in range(6):
+        g = gnp_graph(rng.randint(6, 9), rng.uniform(0.5, 0.9), seed=rng.randrange(10**6))
+        cases.append([colliding_d1_oracle(g, rng)] * rng.randint(2, 3))
+    short = gnp_graph(24, 0.3, seed=2)
+    cases.append([RigidityOracle(short, 2, 5, salt=1)] * 2)
+    two, one = Counter(), Counter()
+    for oracles in cases:
+        ground = range(oracles[-1].graph.m)
+        result = partition([CountingOracle(o, two) for o in oracles], ground)
+        assert two["full_probes"] == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(matroid, "_search", one_pass_search)
+            reference = partition([CountingOracle(o, one) for o in oracles], ground)
+        assert result.parts == reference.parts
+        assert result.dead == reference.dead
+    assert result.sizes == (44, 43)  # the short host
+    # the reference probes full parts, and reads circuits in sink layers
+    assert one["full_probes"] > 0
+    assert two["probes"] < one["probes"] and two["circuits"] < one["circuits"]
 
 
 def test_saturation_exit_leaves_the_parts_unchanged(monkeypatch):
