@@ -11,12 +11,13 @@ emitted objects pipe straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
 feasibility failure with the certificate in the report, 2 usage or parse
-errors.  A short rank or packing is confirmed or reseeded under a second
-realization before it is reported (see ``matroid``); the packing and
-orientation reports then carry ``stats.guard``, and ``rank`` writes one
-line to stderr.  A kernel fault detected inside a matroid partition (``pack``,
-``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``) exits 1 with a
-``partition-failure`` report whose certificate kind is ``kernel-fault``.
+errors.  A short rank or packing goes through the guard of
+``rigidity.guarded`` before it is reported; when the guard runs, the
+packing and orientation reports carry ``stats.guard``, and ``rank`` writes
+one line to stderr.  A kernel fault detected inside a matroid partition
+(``pack``, ``kriesell``, ``rank --t``, ``rank --graphic``, ``orient``)
+exits 1 with a ``partition-failure`` report whose certificate kind is
+``kernel-fault``.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def _cmd_kriesell(args) -> int:
 def _cmd_orient(args) -> int:
     graph = read_graph(_read_input(args))
     deficit_vertices = None
-    if args.R:
-        deficit_vertices = [int(x) for x in args.R.split(",")]
+    if args.R is not None:
+        deficit_vertices = [int(x) for x in args.R.split(",")] if args.R else []
     try:
         oriented, report = k_connected_orientation(
             graph, args.k, args.seed, deficit_vertices, verify=args.verify
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     ori = subs.add_parser("orient", parents=[reads, writes, seeded],
                           help="k-connected orientation")
     ori.add_argument("--k", type=int, required=True)
-    ori.add_argument("--R", default="",
+    ori.add_argument("--R",
                      help="comma-separated deficit vertex ids (default: first ids)")
     ori.add_argument("--verify", action="store_true")
     ori.set_defaults(func=_cmd_orient)

@@ -57,13 +57,7 @@ the only symptom of an unlucky realization.
 
 So ``guarded_partition``, which ``rank_union``, ``pack_rigid`` and
 ``pack_tree_rigid`` use, never reports a short total on one realization's
-word.  When the total is below min(|ground|, sum of ``max_rank``) it
-partitions once more under the oracles' ``fresh()`` counterparts (an
-oracle shared by several parts maps to one fresh oracle; exact oracles are
-their own) and keeps the larger result, the first on a tie.  Each total is
-a lower bound on the union rank, so with R the sum of the parts' generic
-ranks a reported short total is wrong with probability at most
-(R / PRIME)^2 (see ``rigidity``).
+word: it is ``partition`` under ``rigidity.guarded``.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .graph import Graph
-from .rigidity import RigidityOracle, independent_d1
+from .rigidity import RigidityOracle, guarded, independent_d1
 
 
 class MatroidState(Protocol):
@@ -283,23 +277,9 @@ def _augment(moves, states, part_of) -> None:
 def guarded_partition(
     oracles: Sequence[IndependenceOracle], ground: Iterable[int]
 ) -> tuple[MatroidPartition, Sequence[IndependenceOracle], str | None]:
-    """``partition`` with the guard of the module notes.
-
-    Returns the partition, the oracles it was found under, and the guard's
-    outcome: "reseeded" when the fresh oracles found a larger total,
-    "confirmed" when they did not, None when the guard did not run.
-    """
-    first = partition(oracles, ground)
-    if first.total >= min(len(first.ground), sum(o.max_rank for o in oracles)):
-        return first, oracles, None
-    fresh = {o: o.fresh() for o in dict.fromkeys(oracles)}
-    if all(o is f for o, f in fresh.items()):
-        return first, oracles, None  # exact oracles: the short total is the rank
-    again = [fresh[o] for o in oracles]
-    second = partition(again, first.ground)
-    if second.total > first.total:
-        return second, again, "reseeded"
-    return first, oracles, "confirmed"
+    """``partition`` under ``rigidity.guarded``: the partition, the oracles
+    it was found under, and the guard's outcome."""
+    return guarded(partition, oracles, frozenset(ground), lambda p: p.total)
 
 
 def rank_union(oracles: Sequence[IndependenceOracle], ground: Iterable[int]) -> int:
@@ -312,14 +292,12 @@ class PackingResult:
     """Outcome of a spanning-subgraph packing attempt.
 
     ``verified`` holds only for a feasible packing whose parts passed their
-    oracles' re-checks.  ``guard`` is the outcome of ``guarded_partition``'s
-    guard: "confirmed", "reseeded", or None when it did not run.
+    oracles' re-checks.  ``guard`` is ``guarded_partition``'s outcome.
     """
 
     parts: tuple[frozenset[int], ...]
     target_sizes: tuple[int, ...]
     verified: bool
-    seed: int
     guard: str | None
 
     @property
@@ -335,7 +313,7 @@ class PackingResult:
         return sum(self.target_sizes) - sum(self.sizes)
 
 
-def _pack(graph: Graph, oracles: Sequence[IndependenceOracle], seed: int) -> PackingResult:
+def _pack(graph: Graph, oracles: Sequence[IndependenceOracle]) -> PackingResult:
     """Partition every edge into one part per oracle; re-check a full result.
 
     Each part's target is its oracle's ``max_rank``.  The partition is
@@ -350,7 +328,7 @@ def _pack(graph: Graph, oracles: Sequence[IndependenceOracle], seed: int) -> Pac
     verified = full and all(
         o.verify_independent(*(p for p, q in zip(parts, used) if q is o))
         for o in dict.fromkeys(used))
-    return PackingResult(parts, targets, verified, seed, guard)
+    return PackingResult(parts, targets, verified, guard)
 
 
 def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
@@ -368,7 +346,7 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
         raise ValueError("need at least d+1 vertices")
     if t < 1:
         raise ValueError("t must be at least 1")
-    return _pack(graph, [RigidityOracle(graph, d, seed, salt=1)] * t, seed)
+    return _pack(graph, [RigidityOracle(graph, d, seed, salt=1)] * t)
 
 
 def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
@@ -381,4 +359,4 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
-    return _pack(graph, [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=1)], seed)
+    return _pack(graph, [GraphicOracle(graph), RigidityOracle(graph, d, seed, salt=1)])

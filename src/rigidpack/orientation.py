@@ -297,7 +297,6 @@ class OrientationReport:
     base_edges: tuple[tuple[int, ...], ...] | None
     leftover: int | None
     verified: bool | None
-    seed: int
     guard: str | None = None                   # the packing's (PackingResult.guard)
 
     @property
@@ -330,7 +329,7 @@ def k_connected_orientation(
     if k == 1:
         oriented = strongly_connected_orientation(graph)
         verified = is_k_connected(oriented, 1)[0] if verify else None
-        return oriented, OrientationReport(1, None, None, None, None, verified, seed)
+        return oriented, OrientationReport(1, None, None, None, None, verified)
 
     d = 4 * k - 4
     if deficit_vertices is not None:
@@ -354,6 +353,6 @@ def k_connected_orientation(
     verified = is_k_connected(digraph, k)[0] if verify else None
     report = OrientationReport(
         k, d, deficits, tuple(tuple(b) for b in base_edges),
-        graph.m - sum(len(p) for p in packing.parts), verified, seed, packing.guard,
+        graph.m - sum(len(p) for p in packing.parts), verified, packing.guard,
     )
     return digraph, report

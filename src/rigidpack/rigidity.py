@@ -11,24 +11,27 @@ R / 2^31.  So "independent" answers are exact, and a short result is the
 only symptom of an unlucky realization.
 
 A short result is therefore never reported on one realization's word.
-``rank`` (and through it ``is_independent``, ``is_rigid`` and
-``verify_independent``) asks a second, independent realization
-(``fresh``) whenever the first base is below min(|set|, ``max_rank``),
-and keeps the larger base; the first on a tie.  Each realization gives a
+``guarded`` holds the one policy for it.  It solves once, and when the
+result is below min(|ground|, sum of the oracles' ``max_rank``) it solves
+again under their ``fresh()`` counterparts (an oracle listed several times
+maps to one fresh oracle; an exact oracle is its own, so a solve under
+exact oracles alone is not repeated) and keeps the larger result, the
+first on a tie.  ``RigidityOracle.guarded_base`` (and through it ``rank``,
+``is_independent``, ``is_rigid`` and ``verify_independent``) and
+``matroid.guarded_partition`` are its two calls.  Each realization gives a
 lower bound, so a short verdict that is still reported is wrong with
-probability at most (R / PRIME)^2.  ``matroid`` guards union verdicts the
-same way, with R the sum of the parts' generic ranks: the bound is about
-4.5e-14 for the two d = 8 bases of orient-k3 (R = 456) and 1.7e-12 for two
-d = 20 bases of K81 (R = 2820).
+probability at most (R / PRIME)^2, R the generic rank (for a union, the
+sum of the parts' generic ranks): about 4.5e-14 for the two d = 8 bases
+of orient-k3 (R = 456) and 1.7e-12 for two d = 20 bases of K81 (R = 2820).
 
 One oracle answers for every part of a union of copies of R_d, and a
 delivered object is re-checked, all its parts at once, under one fresh
-realization (``verify_independent``), which catches kernel faults.  The
-salts drawn are 1 for packings and union ranks, 0 for orientation bases,
-``salt + 2^20`` for re-checks and for the guard's second realization, and
-``salt + 2^21`` for a re-check of a reseeded packing and for the guard of
-a re-check.  Only a re-check of a reseeded packing that itself comes out
-short goes further, to ``salt + 3 * 2^20``.
+realization (``verify_independent``), which catches kernel faults.
+Packings and union ranks draw salt 1 and orientation bases salt 0.  Each
+second look, a guard's or a re-check's, draws the ``fresh()`` (salt + 2^20)
+of the oracle whose verdict it checks, so a chain has at most three steps:
+a packing's guard, the re-check of a packing it reseeds, and that
+re-check's own guard.
 
 Every realization's rank is at most ``complete_rank(n, d)`` (see
 ``RigidityOracle.max_rank``), so a set of that many independent edges spans
@@ -42,11 +45,13 @@ exist: d=1 (forests, union-find) and d=2 (the (2,3)-pebble game).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from .graph import Graph
 from .linalg import PRIME, RowBasis
 from .stream import stream_rng
+
+T = TypeVar("T")
 
 
 def complete_rank(n: int, d: int) -> int:
@@ -148,20 +153,10 @@ class RigidityOracle:
         return self._fresh
 
     def guarded_base(self, edge_ids: Iterable[int]) -> tuple[list[int], str | None]:
-        """A base of the set, and the guard's outcome (module notes).
-
-        The guard runs when the first base is below min(|set|, ``max_rank``):
-        the base under ``fresh()`` replaces it if larger ("reseeded"), else
-        the first stands ("confirmed").  The outcome is None otherwise.
-        """
-        ids = frozenset(edge_ids)
-        base = self.extract_base(ids)
-        if len(base) >= min(len(ids), self.max_rank):
-            return base, None
-        again = self.fresh().extract_base(ids)
-        if len(again) > len(base):
-            return again, "reseeded"
-        return base, "confirmed"
+        """A base of the set, and the outcome of ``guarded``'s guard (module notes)."""
+        base, _, outcome = guarded(lambda os, ids: os[0].extract_base(ids), [self],
+                                   frozenset(edge_ids))
+        return base, outcome
 
     def rank(self, edge_ids: Iterable[int]) -> int:
         return len(self.guarded_base(edge_ids)[0])
@@ -202,6 +197,32 @@ class RigidityOracle:
 
     def new_state(self) -> "RigidityPartitionState":
         return RigidityPartitionState(self)
+
+
+def guarded(
+    solve: Callable[[Sequence, Collection[int]], T],
+    oracles: Sequence,
+    ground: Collection[int],
+    size: Callable[[T], int] = len,
+) -> tuple[T, Sequence, str | None]:
+    """``solve(oracles, ground)`` under the guard of the module notes.
+
+    ``size`` measures a result.  Returns the result, the oracles it was
+    found under, and the guard's outcome: "reseeded" when the fresh oracles
+    found a larger result, "confirmed" when they did not, None when the
+    guard did not run.
+    """
+    first = solve(oracles, ground)
+    if size(first) >= min(len(ground), sum(o.max_rank for o in oracles)):
+        return first, oracles, None
+    fresh = {o: o.fresh() for o in dict.fromkeys(oracles)}
+    if all(o is f for o, f in fresh.items()):
+        return first, oracles, None  # exact oracles: the short result is the rank
+    again = [fresh[o] for o in oracles]
+    second = solve(again, ground)
+    if size(second) > size(first):
+        return second, again, "reseeded"
+    return first, oracles, "confirmed"
 
 
 class RigidityPartitionState:

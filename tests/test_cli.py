@@ -222,6 +222,9 @@ def test_parse_error_exit_2(capsys, monkeypatch):
         # infeasible host
         (["orient", "--k", "2", "--R", "0,1"], write_graph(complete_graph(9)),
          "deficit set must hold"),
+        # an explicit empty set is a set too, not the default one
+        (["orient", "--k", "2", "--R", ""], write_graph(complete_graph(9)),
+         "deficit set must hold"),
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         assert main(argv) == 2

@@ -2,13 +2,21 @@ import random
 
 import pytest
 
-from rigidpack.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from rigidpack.generators import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    lovasz_yemini,
+    path_graph,
+)
 from rigidpack.graph import Graph, induced_edge_count
 from rigidpack.linalg import PRIME, RowBasis
+from rigidpack.matroid import guarded_partition
 from rigidpack.rigidity import (
     Realization,
     RigidityOracle,
     complete_rank,
+    guarded,
     independent_d1,
     independent_d2,
     rigidity_matrix_row,
@@ -289,3 +297,72 @@ def test_rank_guard_runs_only_below_the_bound(monkeypatch):
     base, guard = oracle.guarded_base(k4)
     assert len(base) == 5 and guard == "confirmed"
     assert oracle.rank(k4) == 5 and not oracle.is_rigid(k4)
+
+
+class StubOracle:
+    """An oracle that only states ``max_rank`` and counts its ``fresh()`` calls."""
+
+    def __init__(self, max_rank, exact=False):
+        self.max_rank = max_rank
+        self.fresh_calls = 0
+        self._fresh = self if exact else None
+
+    def fresh(self):
+        self.fresh_calls += 1
+        if self._fresh is None:
+            self._fresh = StubOracle(self.max_rank)
+        return self._fresh
+
+
+def stub_solver(*sizes):
+    """A solver whose n-th call returns a list of sizes[n]; it records each call."""
+    calls = []
+
+    def solve(oracles, ground):
+        calls.append(list(oracles))
+        return list(range(sizes[len(calls) - 1]))
+
+    return solve, calls
+
+
+def test_guard_policy_on_stubs():
+    ground = frozenset(range(10))
+    # a full first result: min(10, 4 + 4) = 8 is reached, one solve
+    o = StubOracle(4)
+    solve, calls = stub_solver(8)
+    assert guarded(solve, [o, o], ground) == (list(range(8)), [o, o], None)
+    assert len(calls) == 1 and o.fresh_calls == 0
+    # only exact oracles: a short result is the rank, one solve
+    exact = StubOracle(4, exact=True)
+    solve, calls = stub_solver(5)
+    assert guarded(solve, [exact, exact], ground) == (list(range(5)), [exact, exact], None)
+    assert len(calls) == 1
+    # one oracle listed twice maps to one fresh oracle, asked for once;
+    # on a tie the first result and its oracles stand
+    solve, calls = stub_solver(5, 5)
+    result, used, outcome = guarded(solve, [o, o], ground)
+    assert o.fresh_calls == 1 and o._fresh is not o
+    assert calls == [[o, o], [o._fresh, o._fresh]]
+    assert (result, used, outcome) == (list(range(5)), [o, o], "confirmed")
+    # a larger second result replaces the first, with the fresh oracles
+    p = StubOracle(4)
+    solve, calls = stub_solver(5, 6)
+    result, used, outcome = guarded(solve, [p, exact], ground)
+    assert p.fresh_calls == 1
+    assert (result, used, outcome) == (list(range(6)), [p._fresh, exact], "reseeded")
+    assert calls == [[p, exact], [p._fresh, exact]]
+
+
+@pytest.mark.parametrize("host, unlucky_salts, expected", [
+    (lambda: lovasz_yemini([2], 6).graph, (), (114, "confirmed")),
+    (lambda: complete_graph(12), (1,), (21, "reseeded")),
+])
+def test_both_guards_agree_at_one_part(unlucky, host, unlucky_salts, expected):
+    # guarded_partition with one part and guarded_base are the same guard:
+    # a short host is confirmed, an unlucky realization (K12 on a line) reseeded
+    g = host()
+    unlucky(*unlucky_salts)
+    oracle = RigidityOracle(g, 2, 1, salt=1)
+    result, _, outcome = guarded_partition([oracle], range(g.m))
+    base, base_outcome = oracle.guarded_base(range(g.m))
+    assert (result.total, outcome) == (len(base), base_outcome) == expected
