@@ -31,13 +31,14 @@ every slot, applied through per-slot masks until no slot reaches 2^31.
   has slots below 2^62, and 2^31 + 1023 * 2^62 < 1024 * 2^62 = 2^72, so a
   72-bit slot holds one canonical entry plus any 1023 such products.  Two
   rules keep every slot inside that bound.  Every sum of products (the
-  reduction in ``_reduce`` and the tracking sums in ``insert`` and
-  ``circuit``) starts from a canonical value and is canonicalised after
+  reduction in ``_reduce`` and the tracking sums in ``insert``,
+  ``circuit`` and ``exchange``) starts from a canonical value and is canonicalised after
   every FOLD = 1023 products (``_sum``).  Kept rows take updates c * r
-  without folding (the pivot clearing of ``insert`` and the downdate of
-  ``remove``), so after u of them a slot is below 2^31 + u * 2^62; the
-  row (structural and tracking part) is canonicalised as soon as its
-  ``pending`` count reaches FOLD, and when it is next used as a multiplier.
+  without folding (the pivot clearing of ``insert``, the tracking updates
+  of ``exchange`` and the downdate of ``remove``), so after u of them a
+  slot is below 2^31 + u * 2^62; the row (structural and tracking part) is
+  canonicalised as soon as its ``pending`` count reaches FOLD, and when it
+  is next used as a multiplier.
 * **Triangular rows.**  Every kept row's top nonzero slot is its own
   pivot, where it holds exactly 1 (``rows[p].bit_length() == SLOT_BITS * p
   + 1``), so a row at pivot p spans p + 1 slots, not ``ncols``.  ``insert``
@@ -55,20 +56,28 @@ every slot, applied through per-slot masks until no slot reaches 2^31.
   rank), not every member id.  Removal is a downdate: the row with the
   lowest pivot among those holding the member's slot clears that slot from
   every other row and is dropped.
+* **Exchanges.**  ``exchange`` swaps a live member x at slot s for a
+  dependent row y whose circuit holds x.  The span does not change, and
+  the reduced row-echelon form of a span is unique, so no structural row,
+  pivot or top slot changes either.  With E the tracking part of y's
+  expansion and alpha = E[s] != 0, raw[x] = (y - sum of E[s'] raw[m_s'] over
+  s' != s) / alpha; so a kept row with beta at slot s takes beta / alpha *
+  (e_s - E) in its tracking part only, and y takes slot s.  If alpha is 0,
+  x is not in y's circuit and nothing changes.
 * **One reduction per placed row.**  The independence probe ``extends``
   reduces its row; when the row is independent it saves the reduced row
   and the pivots it hit.  The next ``insert`` of the same row object (the
   apply step of an augmenting path) uses them instead of reducing the row
-  again.  Every ``insert`` and ``remove`` drops the saved reduction, so it
-  is never used against a changed basis; other queries only canonicalise
-  kept rows, which changes no value mod PRIME.  Rows are treated as
-  immutable.
+  again.  Every ``insert``, ``exchange`` and ``remove`` drops the saved
+  reduction, so it is never used against a changed basis; other queries
+  only canonicalise kept rows, which changes no value mod PRIME.  Rows are
+  treated as immutable.
 * **Circuits of dependent rows only.**  ``circuit`` assumes its row is
   dependent, which the caller has learnt from a probe.  In reduced
   row-echelon form such a row is the sum of its own entries at the pivot
   columns times the kept rows there, so ``circuit`` reads those entries as
-  coefficients and sums only the tracking parts; it makes no structural
-  reduction.
+  coefficients and sums only the tracking parts (``_expansion``, which
+  ``exchange`` shares); it makes no structural reduction.
 * **Residues.**  ``residue`` returns a reduced row whose entries depend on
   the pivots chosen; only whether it is zero carries meaning.
 """
@@ -117,7 +126,7 @@ class RowBasis:
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
         # (row, reduced row, hits) of the last probe that found its row
-        # independent; dropped by every insert and remove
+        # independent; dropped by every insert, exchange and remove
         self._saved: tuple[Sequence[int], int, list[tuple[int, int]]] | None = None
         # per-slot masks, wide enough for the structural and the tracking part
         self._ones = int.from_bytes(
@@ -243,15 +252,8 @@ class RowBasis:
             self._saved = (entries, work, hits)
         return bool(work)
 
-    def circuit(self, entries: Sequence[int]) -> set[int]:
-        """Members with nonzero coefficient in the expansion of a dependent row.
-
-        The row must be dependent on the basis (``extends`` is False); on
-        an independent row the result means nothing.  Only valid with
-        tracking enabled.
-        """
-        if not self.track_width:
-            raise ValueError("circuit queries need track_width > 0")
+    def _expansion(self, entries: Sequence[int]) -> int:
+        """The canonical tracking part of a dependent row's expansion in the kept rows."""
         # a dependent row is the sum of row[p] * rows[p] over the pivots p,
         # since every kept row is 1 at its own pivot and 0 at the others'
         rows, pending = self.rows, self.pending
@@ -263,11 +265,58 @@ class RowBasis:
                     hits.append((c, v))
                     if c in pending:
                         self._clean(c)
-        track = self._sum(0, hits, self.tracks)
+        return self._sum(0, hits, self.tracks)
+
+    def circuit(self, entries: Sequence[int]) -> set[int]:
+        """Members with nonzero coefficient in the expansion of a dependent row.
+
+        The row must be dependent on the basis (``extends`` is False); on
+        an independent row the result means nothing.  Only valid with
+        tracking enabled.
+        """
+        if not self.track_width:
+            raise ValueError("circuit queries need track_width > 0")
+        track = self._expansion(entries)
         # bit PRIME_BITS of a canonical slot plus PRIME is set iff the slot is nonzero
         flags = ((track + self._low) >> PRIME_BITS) & self._ones
         selectors = flags.to_bytes(self.track_width * _SLOT_BYTES, "little")[::_SLOT_BYTES]
         return set(compress(self.slot_member, selectors))
+
+    def exchange(self, entries: Sequence[int], member: int, old: int) -> bool:
+        """Swap the live member ``old`` for a dependent row; False if ``old``
+        is not in the row's circuit, and then nothing changes.
+
+        The span is unchanged, so the structural rows stay as they are (module
+        notes): only the tracking parts are rewritten, and the new member
+        takes ``old``'s slot.
+        """
+        if not self.track_width:
+            raise ValueError("exchange needs track_width > 0")
+        if member in self.index_of:
+            raise ValueError(f"member {member} is already live")
+        slot = self.index_of[old]
+        shift = SLOT_BITS * slot
+        track = self._expansion(entries)
+        alpha = (track >> shift) & _SLOT_MASK
+        if not alpha:
+            return False
+        self._saved = None
+        # raw[old] = (row - sum of the other slots' terms) / alpha, so a kept
+        # row with beta at the slot takes beta / alpha * (e_slot - expansion)
+        step = self._canonical(track * (PRIME - 1) + (1 << shift))
+        inv = pow(alpha, -1, PRIME)
+        tracks, pending = self.tracks, self.pending
+        for p, other in tracks.items():
+            beta = ((other >> shift) & _SLOT_MASK) % PRIME
+            if beta:
+                tracks[p] = other + beta * inv % PRIME * step
+                updates = pending[p] = pending.get(p, 0) + 1
+                if updates == FOLD:
+                    self._clean(p)
+        del self.index_of[old]
+        self.index_of[member] = slot
+        self.slot_member[slot] = member
+        return True
 
     def remove(self, member: int) -> None:
         """Drop a member's row by downdating the basis; nothing is re-inserted.
@@ -278,7 +327,8 @@ class RowBasis:
         stays triangular.  The others stay 1 at their pivots and 0 at each
         other's, and now express themselves in the remaining members only,
         so they span exactly the rows of the members that stay (the live
-        rows are independent).
+        rows are independent).  Partitions apply their paths by ``exchange``
+        and never remove; tests and the benchmark's spans still use it.
         """
         if not self.track_width:
             raise ValueError("removal needs track_width > 0")

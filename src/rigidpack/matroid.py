@@ -5,9 +5,9 @@ the family one ground element at a time by a breadth-first augmenting
 search in the exchange digraph (arc x -> y when part_i + x is dependent
 but part_i + x - y is not; arc x -> sink_i when part_i + x is
 independent).  A direct insert is the path of length 0.  A shortest path
-is applied as a chain of swaps; if no path exists the element is spanned
-by the union and stays uncovered for good.  Sources are processed in
-canonical edge order and ties break lexicographically, so runs are
+is applied as a chain of swaps (below); if no path exists the element is
+spanned by the union and stays uncovered for good.  Sources are processed
+in canonical edge order and ties break lexicographically, so runs are
 reproducible.  Every query goes to the part's state as it stands.
 
 Each layer of the search runs in two passes.  The probe pass asks each
@@ -48,12 +48,24 @@ search would fail: ``partition`` stops there, and the dead set is the whole
 ground set, which every part spans.  The parts are those the remaining
 searches would have left.
 
+A path e = z_0 -> z_1 -> ... -> z_k -> sink is applied in path order: each
+swap part_m + z_j - z_{j+1} is one ``exchange(z_j, z_{j+1})``, and the sink
+move is an ``insert`` of z_k.  An exchange keeps its part's span, so z_k
+still extends the sink part when its insert comes, even if that part
+swapped earlier on the path.  Every exchange finds z_{j+1} in z_j's
+circuit as the part then stands: z_{l+1} is first labelled in layer
+l + 1, so the breadth-first layers leave no shortcut arc z_j -> z_{l+1}
+for j < l.  Within one part, the circuit coefficients of the path's pairs
+(z_j, z_{j+1}) therefore form a triangular matrix with a nonzero
+diagonal, and exchanging some pairs leaves every other pair's diagonal
+entry nonzero, in any order.  So a shortest augmenting path keeps every
+part independent in any matroid (Knuth 1973; Cunningham 1986).
+
 Each state answers exactly for one fixed matroid; a rigidity state's is the
 linear matroid of its realization, whose "independent" answers are exact
-generically too.  A shortest augmenting path keeps every part independent
-in any matroid (Knuth 1973; Cunningham 1986), so a refused insert on it is
-a kernel fault and raises ``OracleInconsistencyError``.  A short result is
-the only symptom of an unlucky realization.
+generically too.  So a refused insert or exchange on a path is a kernel
+fault and raises ``OracleInconsistencyError``.  A short result is the only
+symptom of an unlucky realization.
 
 So ``guarded_partition``, which ``rank_union``, ``pack_rigid`` and
 ``pack_tree_rigid`` use, never reports a short total on one realization's
@@ -74,12 +86,14 @@ class MatroidState(Protocol):
 
     ``circuit`` may be asked only of an element that the state does not
     extend with (``extends`` is False for it as the state stands).
+    ``exchange(add, old)`` swaps the member ``old`` for such an element;
+    it refuses (False) when ``old`` is not in the element's circuit.
     """
 
     def insert(self, edge_id: int) -> bool: ...
     def extends(self, edge_id: int) -> bool: ...
     def circuit(self, edge_id: int) -> set[int]: ...
-    def remove(self, edge_id: int) -> None: ...
+    def exchange(self, add: int, old: int) -> bool: ...
 
 
 class IndependenceOracle(Protocol):
@@ -91,7 +105,9 @@ class IndependenceOracle(Protocol):
 
 
 class OracleInconsistencyError(RuntimeError):
-    """A state refused an insert on an augmenting path it had admitted."""
+    """A state refused an insert or an exchange on an augmenting path it
+    had admitted: a shortest path never needs either refused (module
+    notes), so the kernel is at fault."""
 
 
 class GraphicOracle:
@@ -159,6 +175,10 @@ class ForestState:
             x, eid = parents[x]
             out.add(eid)
         return out
+
+    def exchange(self, add: int, old: int) -> bool:
+        self.remove(old)
+        return self.insert(add)
 
     def remove(self, edge_id: int) -> None:
         u, v = self.graph.edges[edge_id]
@@ -260,16 +280,19 @@ def _search(e, states, part_of, dead, room) -> list[tuple[int, int, int | None]]
 
 
 def _augment(moves, states, part_of) -> None:
-    """Apply a path: every removal first, then every insert.
+    """Apply a path in path order, from e to the sink.
 
-    Each removed element is the added element of the move before it, so
-    recording the added elements' parts updates ``part_of`` in full.
+    ``moves`` runs from the sink back to e, so it is walked in reverse:
+    each swap is an ``exchange`` and the sink move an ``insert``.  The
+    breadth-first layers make each part's swaps triangular, so no exchange
+    is refused, and exchanges keep spans, so the sink insert is not either
+    (module notes).  Each removed element is the added element of the move
+    after it, so recording the added elements' parts updates ``part_of``
+    in full.
     """
-    for (i, _, rem) in moves:
-        if rem is not None:
-            states[i].remove(rem)
-    for (i, add, _) in moves:
-        if not states[i].insert(add):
+    for i, add, old in reversed(moves):
+        state = states[i]
+        if not (state.insert(add) if old is None else state.exchange(add, old)):
             raise OracleInconsistencyError(f"part {i} refused element {add} on a path")
         part_of[add] = i
 

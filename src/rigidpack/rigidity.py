@@ -233,7 +233,9 @@ class RigidityPartitionState:
     part + e is independent, and saves the row's reduction for the insert
     of e that may follow.  ``circuit(e)``, asked only of an edge that does
     not extend the part, reports its fundamental circuit: exactly the
-    members y for which part - y + e is independent.
+    members y for which part - y + e is independent.  ``exchange(e, y)``
+    makes that swap for such a y, rewriting tracking coefficients only
+    (``RowBasis.exchange``).
     """
 
     __slots__ = ("oracle", "basis")
@@ -252,6 +254,9 @@ class RigidityPartitionState:
 
     def circuit(self, edge_id: int) -> set[int]:
         return self.basis.circuit(self.oracle.row(edge_id))
+
+    def exchange(self, add: int, old: int) -> bool:
+        return self.basis.exchange(self.oracle.row(add), add, old)
 
     def remove(self, edge_id: int) -> None:
         self.basis.remove(edge_id)

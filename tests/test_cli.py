@@ -143,22 +143,13 @@ def test_orient_unverified_packing_fails(capsys, monkeypatch):
     assert out.count("\n") == 1             # the report line only: no orientation
 
 
-def refuse_inserts_after_removal(monkeypatch):
-    """Make every partition state refuse each insert once it has removed a member.
+def refuse_the_first_exchange(monkeypatch):
+    """Make every partition state refuse every exchange.
 
-    The first such insert is a swap on an augmenting path: a kernel fault.
+    The first exchange is a swap on an augmenting path: a kernel fault.
     """
-    removed = set()
     for state in (RigidityPartitionState, ForestState):
-        def insert(self, edge_id, inner=state.insert):
-            return id(self) not in removed and inner(self, edge_id)
-
-        def remove(self, edge_id, inner=state.remove):
-            removed.add(id(self))
-            inner(self, edge_id)
-
-        monkeypatch.setattr(state, "insert", insert)
-        monkeypatch.setattr(state, "remove", remove)
+        monkeypatch.setattr(state, "exchange", lambda self, add, old: False)
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,7 +160,7 @@ def refuse_inserts_after_removal(monkeypatch):
     ["rank", "--d", "2", "--graphic"],      # partitions even at t = 1
 ])
 def test_kernel_fault_is_a_report_not_a_traceback(capsys, monkeypatch, argv):
-    refuse_inserts_after_removal(monkeypatch)
+    refuse_the_first_exchange(monkeypatch)
     text = write_graph(complete_graph(10))
     code, out = run_cli(capsys, monkeypatch, argv, stdin=text)
     assert code == 1

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -326,16 +327,137 @@ def test_row_basis_differential(seed, monkeypatch):
         assert_triangular(basis)
 
 
+def decoded(packed, width):
+    """The first width slots of a packed part, each reduced mod PRIME."""
+    mask = (1 << SLOT_BITS) - 1
+    return [((packed >> (SLOT_BITS * i)) & mask) % PRIME for i in range(width)]
+
+
+def values(basis):
+    """Everything a tracking basis holds, as values mod PRIME."""
+    return ({p: decoded(r, basis.ncols) for p, r in basis.rows.items()},
+            {p: decoded(t, basis.track_width) for p, t in basis.tracks.items()},
+            dict(basis.index_of), list(basis.slot_member), sorted(basis.free_slots))
+
+
+def assert_tracking_exact(basis, raw):
+    """Every kept row is the sum of its tracking coefficients times the live
+    members' raw rows, and a free slot holds no coefficient."""
+    for pivot, row in basis.rows.items():
+        coefs = decoded(basis.tracks[pivot], basis.track_width)
+        expected = [0] * basis.ncols
+        for slot, member in enumerate(basis.slot_member):
+            if member < 0:
+                assert coefs[slot] == 0
+                continue
+            expected = [(x + coefs[slot] * y) % PRIME for x, y in zip(expected, raw[member])]
+        assert decoded(row, basis.ncols) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_basis_exchange(seed):
+    # exchange swaps a live member for a dependent row whose circuit holds
+    # it, rewriting tracking parts only; with any other member it refuses
+    # and changes nothing
+    rng = random.Random(seed)
+    n, d = 6, 2
+    raw = mixed_rows(rng, n, d)
+    ncols = d * n
+    basis = RowBasis(ncols, track_width=ncols)
+    live = {}
+    for m in rng.sample(range(len(raw)), len(raw)):
+        if basis.insert(raw[m], m):
+            live[m] = raw[m]
+    outcomes = Counter()
+    for _ in range(60):
+        op = rng.random()
+        if op < 0.15:
+            basis.remove(rng.choice(sorted(live)))
+            live = {m: raw[m] for m in basis.index_of}
+            continue
+        if op < 0.5:
+            # a combination of a few live rows: a small circuit, so most
+            # members are outside it
+            probe = [0] * ncols
+            for m in rng.sample(sorted(live), rng.randrange(1, 4)):
+                x = rng.randrange(1, PRIME)
+                probe = [(p + x * q) % PRIME for p, q in zip(probe, live[m])]
+            raw.append(probe)
+            m = len(raw) - 1
+        else:
+            m = rng.choice([m for m in range(len(raw)) if m not in live])
+        expected = brute_circuit(live, raw[m])
+        if expected is None:
+            assert basis.insert(raw[m], m)
+            live[m] = raw[m]
+            continue
+        old = rng.choice(sorted(live))
+        before = values(basis)
+        with pytest.raises(ValueError, match="already live"):
+            basis.exchange(raw[m], old, old)
+        kept = basis.exchange(raw[m], m, old)
+        outcomes[kept] += 1
+        assert kept == (old in expected)
+        after = values(basis)
+        if kept:
+            # the structural rows and pivots are unchanged, and m takes old's slot
+            assert after[0] == before[0]
+            assert after[2] == {**{k: v for k, v in before[2].items() if k != old},
+                                m: before[2][old]}
+            del live[old]
+            live[m] = raw[m]
+        else:
+            assert after == before
+        assert sorted(basis.index_of) == sorted(live)
+        assert_triangular(basis)
+        assert_tracking_exact(basis, raw)
+        # circuits afterwards are the fundamental circuits of the live rows
+        q = raw[rng.randrange(len(raw))]
+        circuit = brute_circuit(live, q)
+        assert basis.extends(q) == (circuit is None)
+        if circuit is not None:
+            assert basis.circuit(q) == circuit
+    assert outcomes[True] > 10 and outcomes[False] > 10
+
+
+def test_row_basis_exchange_counts_pending_updates():
+    # Member 0 is e_0 + e_1 (pivot 1) and member 1 is e_0 (pivot 0); the
+    # pivot-1 row is raw0 - raw1, so it holds member 1's slot.  Each later
+    # member x * e_0 replaces the one in that slot: its expansion hits only
+    # the pivot-0 row, so the pivot-1 row takes one tracking update per
+    # exchange and is never used as a multiplier; it is canonicalised at
+    # its FOLD-th pending update, and every slot stays inside the bound.
+    rng = random.Random(9)
+    basis = RowBasis(2, track_width=2)
+    raw = {0: [1, 1], 1: [1, 0]}
+    assert basis.insert(raw[0], 0) and basis.insert(raw[1], 1)
+    peak = 0
+    for m in range(2, FOLD + 8):
+        raw[m] = [rng.randrange(1, PRIME), 0]
+        assert basis.exchange(raw[m], m, m - 1)
+        updates = basis.pending.get(1, 0)
+        peak = max(peak, updates)
+        assert updates < FOLD
+        bound = (1 << PRIME_BITS) + updates * (1 << (2 * PRIME_BITS))
+        assert slots_below(basis.tracks[1], 2, bound)
+        assert values(basis)[0] == {1: [0, 1], 0: [1, 0]}
+    # one update from the insert of member 1, then FOLD + 6 exchanges
+    assert peak == FOLD - 1 and basis.pending[1] == 7
+    assert basis.index_of == {0: 0, m: 1}
+    assert_tracking_exact(basis, raw)
+    assert dependent_circuit(basis, [5, 7]) == {0, m}
+
+
 @pytest.mark.parametrize("graph,d", [
     *(pytest.param(gnp_graph(14, 0.6, seed=s), 2, id=f"gnp14-seed{s}-d2") for s in range(4)),
     *(pytest.param(gnp_graph(16, 0.7, seed=s), 3, id=f"gnp16-seed{s}-d3") for s in range(4)),
     pytest.param(complete_graph(17), 4, id="K17-d4"),
 ])
 def test_row_basis_stays_triangular_through_partition(graph, d, monkeypatch):
-    # every insert and remove that a packing makes, on the tracked partition
+    # every insert and exchange that a packing makes, on the tracked partition
     # bases and on the plain bases of the re-check, leaves every kept row
     # with its pivot as its top nonzero slot; 3 of the 9 hosts are short
-    calls = {"insert": 0, "remove": 0}
+    calls = {"insert": 0, "exchange": 0}
 
     def checked(op):
         method = getattr(RowBasis, op)
@@ -349,9 +471,9 @@ def test_row_basis_stays_triangular_through_partition(graph, d, monkeypatch):
         monkeypatch.setattr(RowBasis, op, run)
 
     checked("insert")
-    checked("remove")
+    checked("exchange")
     pack_rigid(graph, d, 2, seed=1)
-    assert calls["insert"] > graph.n and calls["remove"] > 0
+    assert calls["insert"] > graph.n and calls["exchange"] > 0
 
 
 @functools.cache

@@ -179,11 +179,13 @@ class RefusingOracle:
 
 
 class RefusingState:
+    """A state that refuses every exchange: the first swap on a path."""
+
     def __init__(self, inner):
-        self.inner, self.after_remove = inner, False
+        self.inner = inner
 
     def insert(self, edge_id):
-        return not self.after_remove and self.inner.insert(edge_id)
+        return self.inner.insert(edge_id)
 
     def extends(self, edge_id):
         return self.inner.extends(edge_id)
@@ -191,9 +193,8 @@ class RefusingState:
     def circuit(self, edge_id):
         return self.inner.circuit(edge_id)
 
-    def remove(self, edge_id):
-        self.after_remove = True
-        self.inner.remove(edge_id)
+    def exchange(self, add, old):
+        return False
 
 
 def test_partition_raises_on_a_refused_path_insert():
@@ -208,8 +209,8 @@ def test_partition_raises_on_a_refused_path_insert():
 
 class CountingOracle:
     """An oracle whose states count, in one shared Counter, every refused
-    insert, probe and circuit read, and every probe of a part that already
-    holds ``max_rank`` elements."""
+    insert or exchange, probe and circuit read, and every probe of a part
+    that already holds ``max_rank`` elements."""
 
     def __init__(self, inner, log):
         self.inner, self.log = inner, log
@@ -241,9 +242,10 @@ class CountingState:
         self.log["circuits"] += 1
         return self.inner.circuit(edge_id)
 
-    def remove(self, edge_id):
-        self.size -= 1
-        self.inner.remove(edge_id)
+    def exchange(self, add, old):
+        ok = self.inner.exchange(add, old)
+        self.log["refused"] += not ok
+        return ok
 
 
 def graphic_union_rank(g, t):
@@ -317,7 +319,8 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
                 assert result.total == total
                 # every path is found on circuits the states give as they stand,
                 # and a shortest path keeps every part independent: no insert
-                # on it is refused, even under a colliding realization
+                # or exchange on it is refused, even under a colliding
+                # realization
                 assert log["refused"] == 0
                 assert_dead_set_closed(oracles, result)
     assert zero_rows > 0
@@ -397,6 +400,46 @@ def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
     # the reference probes full parts, and reads circuits in sink layers
     assert one["full_probes"] > 0
     assert two["probes"] < one["probes"] and two["circuits"] < one["circuits"]
+
+
+def remove_then_insert(moves, states, part_of):
+    """The reference ``_augment``: every removal first, then every insert."""
+    for i, _, old in moves:
+        if old is not None:
+            states[i].remove(old)
+    for i, add, _ in moves:
+        assert states[i].insert(add)
+        part_of[add] = i
+
+
+@pytest.mark.parametrize("host,d,graphic,longest", [
+    # a length-3 path: its first and third swaps share a part, and its sink
+    # part swapped before the sink insert
+    pytest.param((20, 0.6, 7), 3, False, 3, id="gnp20-d3"),
+    pytest.param((10, 0.8, 4), 2, False, 2, id="gnp10-d2"),
+    pytest.param((12, 0.7, 0), 2, True, 1, id="gnp12-graphic-d2"),
+])
+def test_exchange_paths_match_remove_then_insert(monkeypatch, host, d, graphic, longest):
+    # applying each path by exchanges in path order gives the parts and the
+    # dead set that removing every swapped element and re-inserting give
+    n, p, seed = host
+    graph = gnp_graph(n, p, seed=seed)
+    rigid = RigidityOracle(graph, d, 1, salt=1)
+    oracles = [GraphicOracle(graph), rigid] if graphic else [rigid] * 2
+    lengths = []
+    augment = matroid._augment
+
+    def recorded(moves, states, part_of):
+        lengths.append(len(moves) - 1)
+        augment(moves, states, part_of)
+
+    monkeypatch.setattr(matroid, "_augment", recorded)
+    result = partition(oracles, range(graph.m))
+    monkeypatch.setattr(matroid, "_augment", remove_then_insert)
+    reference = partition(oracles, range(graph.m))
+    assert max(lengths) == longest
+    assert result.parts == reference.parts
+    assert result.dead == reference.dead
 
 
 def test_saturation_exit_leaves_the_parts_unchanged(monkeypatch):
