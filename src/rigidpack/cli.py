@@ -6,7 +6,8 @@ also prints a one-line JSON report with a fixed envelope {schema, object,
 seed, stats, certificates}.  The commands that read a graph (rank, pack,
 kriesell, orient, verify and simulate e0) take -i/--input; those that emit
 one (gen, pack, kriesell, orient) take -o/--output, and then only the JSON
-stays on stdout.  Readers ignore content after the last edge line, so
+stays on stdout.  Each gen kind takes only the flags it reads
+(``GEN_READS``).  Readers ignore content after the last edge line, so
 emitted objects pipe straight into the next subcommand.
 
 Exit codes: 0 success (and verified, where applicable), 1 verification or
@@ -98,7 +99,32 @@ def _cert_dict(cert: CutCertificate) -> dict:
     return {"kind": cert.kind, "separator": sorted(cert.separator), "pair": list(cert.pair)}
 
 
+# the flags each gen kind reads; giving it any other is a usage error
+GEN_READS = {
+    "complete": ("n",),
+    "gnp": ("n", "p"),
+    "harary": ("k", "m"),
+    "lovasz-yemini": ("dims", "s"),
+    "tdrigid-pack": ("n", "d", "t"),
+    "tree-rigid": ("n", "d"),
+}
+GEN_DEFAULTS = {"n": 0, "m": 0, "k": 1, "d": 2, "t": 1, "p": 0.5, "s": 2, "dims": "2"}
+
+
+def _gen_flags(args) -> None:
+    """Reject the flags the kind does not read; default the ones it does."""
+    reads = GEN_READS[args.kind]
+    unread = [f for f in GEN_DEFAULTS if f not in reads and getattr(args, f) is not None]
+    if unread:
+        raise ValueError(f"gen {args.kind} reads {', '.join(f'--{f}' for f in reads)}, "
+                         f"not {', '.join(f'--{f}' for f in unread)}")
+    for flag in reads:
+        if getattr(args, flag) is None:
+            setattr(args, flag, GEN_DEFAULTS[flag])
+
+
 def _cmd_gen(args) -> int:
+    _gen_flags(args)
     kind = args.kind
     stats: dict = {}
     parts_json = None
@@ -307,14 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=[
         "complete", "harary", "lovasz-yemini", "tdrigid-pack", "tree-rigid", "gnp",
     ])
-    gen.add_argument("--n", type=int, default=0)
-    gen.add_argument("--m", type=int, default=0)
-    gen.add_argument("--k", type=int, default=1)
-    gen.add_argument("--d", type=int, default=2)
-    gen.add_argument("--t", type=int, default=1)
-    gen.add_argument("--p", type=float, default=0.5)
-    gen.add_argument("--s", type=int, default=2)
-    gen.add_argument("--dims", default="2", help="comma-separated dimensions")
+    # each kind reads only some of these (GEN_READS; defaults in GEN_DEFAULTS)
+    gen.add_argument("--n", type=int, help="vertices (complete, gnp, tdrigid-pack, tree-rigid)")
+    gen.add_argument("--m", type=int, help="vertices (harary)")
+    gen.add_argument("--k", type=int, help="connectivity (harary)")
+    gen.add_argument("--d", type=int, help="dimension (tdrigid-pack, tree-rigid)")
+    gen.add_argument("--t", type=int, help="parts (tdrigid-pack)")
+    gen.add_argument("--p", type=float, help="edge probability (gnp)")
+    gen.add_argument("--s", type=int, help="half the host's vertices (lovasz-yemini)")
+    gen.add_argument("--dims", help="comma-separated dimensions (lovasz-yemini)")
     gen.set_defaults(func=_cmd_gen)
 
     rank_p = subs.add_parser("rank", parents=[reads, seeded],

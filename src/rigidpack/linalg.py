@@ -16,7 +16,8 @@ big int, which runs in C.  Elimination only ever *adds* multiples of rows
 (coefficients are negated mod PRIME first), so slot values stay
 nonnegative.  Slots are brought back into [0, PRIME) all at once by SWAR
 Mersenne folding: 2^31 = 1 (mod PRIME), so x = (x & M31) + (x >> 31) in
-every slot, applied through per-slot masks until no slot reaches 2^31.
+every slot, applied through per-slot masks until no slot reaches 2^31
+(``_canonical``).  Kept rows get by with two folds (``_fold``, below).
 
 `RowBasis` is the incremental eliminator used everywhere.  Its invariants:
 
@@ -26,19 +27,29 @@ every slot, applied through per-slot masks until no slot reaches 2^31.
   support, with q's own entries as the coefficients, so a sparse query
   touches only the kept rows its support hits: at most 2d for a rigidity
   row, whatever the size of the basis.
-* **Slot bound.**  A row is canonical (every slot in [0, PRIME)) when it is
-  kept.  A product c * r of a coefficient c < PRIME and a canonical row r
-  has slots below 2^62, and 2^31 + 1023 * 2^62 < 1024 * 2^62 = 2^72, so a
-  72-bit slot holds one canonical entry plus any 1023 such products.  Two
-  rules keep every slot inside that bound.  Every sum of products (the
-  reduction in ``_reduce`` and the tracking sums in ``insert``,
-  ``circuit`` and ``exchange``) starts from a canonical value and is canonicalised after
+* **Slot bound.**  Every value that is tested for zero or read as a
+  pivot is canonical (every slot in [0, PRIME)): the sums of ``_sum`` and
+  every new row, ``_canonical(work * inv)``.  A kept row with pending
+  updates is instead *folded*: two unconditional Mersenne folds
+  (``_fold``).  One fold leaves a slot below 2^41 + 2^31, the second adds
+  back at most 2^10, so a folded slot is congruent to its value and at
+  most 2^31 + 2^10, but not always below PRIME.  A product c * r of a
+  coefficient c < PRIME and a folded row r has slots below 2^62 + 2^41,
+  and 2^31 + 2^10 + 1023 * (2^62 + 2^41) < 2^72, so a 72-bit slot holds
+  one folded entry plus any 1023 such products.  Two rules keep every
+  slot inside that bound.  Every sum of products (the reduction in
+  ``_reduce`` and the tracking sums in ``insert``, ``circuit`` and
+  ``exchange``) starts from a canonical value and is canonicalised after
   every FOLD = 1023 products (``_sum``).  Kept rows take updates c * r
   without folding (the pivot clearing of ``insert``, the tracking updates
   of ``exchange`` and the downdate of ``remove``), so after u of them a
-  slot is below 2^31 + u * 2^62; the row (structural and tracking part) is
-  canonicalised as soon as its ``pending`` count reaches FOLD, and when it
-  is next used as a multiplier.
+  slot is below 2^31 + 2^10 + u * (2^62 + 2^41).  Each part counts its
+  own updates, ``pending`` the structural part and ``track_pending`` the
+  tracking part (``exchange`` updates only the latter); a part is folded
+  as soon as its count reaches FOLD, and when its row is next used as a
+  multiplier.  Every slot read of a kept row goes through ``% PRIME``,
+  and a fold leaves a pivot's 1 and the zeros above it alone, so a folded
+  row serves as its canonical form would.
 * **Triangular rows.**  Every kept row's top nonzero slot is its own
   pivot, where it holds exactly 1 (``rows[p].bit_length() == SLOT_BITS * p
   + 1``), so a row at pivot p spans p + 1 slots, not ``ncols``.  ``insert``
@@ -70,7 +81,7 @@ every slot, applied through per-slot masks until no slot reaches 2^31.
   apply step of an augmenting path) uses them instead of reducing the row
   again.  Every ``insert``, ``exchange`` and ``remove`` drops the saved
   reduction, so it is never used against a changed basis; other queries
-  only canonicalise kept rows, which changes no value mod PRIME.  Rows are
+  only fold kept rows, which changes no value mod PRIME.  Rows are
   treated as immutable.
 * **Circuits of dependent rows only.**  ``circuit`` assumes its row is
   dependent, which the caller has learnt from a probe.  In reduced
@@ -95,8 +106,9 @@ _SLOT_BYTES = SLOT_BITS // 8
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 # a canonical entry (< 2^PRIME_BITS) fits the low bytes of its slot
 _ENTRY_BYTES = (PRIME_BITS + 7) // 8
-# products a slot holds on top of one canonical entry (module notes): the
-# largest f with 2^PRIME_BITS + f * 2^(2 * PRIME_BITS) < 2^SLOT_BITS
+# products a slot holds on top of one folded entry (module notes): with
+# F = 2^PRIME_BITS + 2^(SLOT_BITS - 2 * PRIME_BITS) the largest folded slot,
+# the largest f with F + f * 2^PRIME_BITS * F < 2^SLOT_BITS
 FOLD = (1 << (SLOT_BITS - 2 * PRIME_BITS)) - 1
 
 
@@ -104,16 +116,17 @@ class RowBasis:
     """Incremental reduced row-echelon basis over GF(PRIME) with packed rows.
 
     ``rows`` maps each pivot column to the structural part of its kept row
-    and ``tracks`` to the tracking part; ``pending`` counts, per pivot, the
-    updates made since the row was last canonical (see the module notes).
+    and ``tracks`` to the tracking part; ``pending`` and ``track_pending``
+    count, per pivot, the updates made to each part since it was last
+    folded (see the module notes).
     ``index_of`` maps each live member to its tracking slot.  A dependent
     row yields its fundamental circuit by reading the tracking slots of
     its expansion in the kept rows.
     """
 
     __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
-                 "index_of", "slot_member", "free_slots", "_saved", "_ones", "_low",
-                 "_high")
+                 "track_pending", "index_of", "slot_member", "free_slots", "_saved",
+                 "_ones", "_low", "_high")
 
     def __init__(self, ncols: int, track_width: int = 0):
         self.ncols = ncols
@@ -122,6 +135,7 @@ class RowBasis:
         self.rows: dict[int, int] = {}
         self.tracks: dict[int, int] = {}
         self.pending: dict[int, int] = {}
+        self.track_pending: dict[int, int] = {}
         self.index_of: dict[int, int] = {}
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
@@ -148,17 +162,25 @@ class RowBasis:
         top = ((x + ones) >> PRIME_BITS) & ones
         return x - top * PRIME if top else x
 
+    def _fold(self, x: int) -> int:
+        """x with every slot brought to at most 2^31 + 2^10 by two Mersenne
+        folds: congruent, but not always canonical (module notes)."""
+        low, high = self._low, self._high
+        x = (x & low) + ((x >> PRIME_BITS) & high)
+        return (x & low) + ((x >> PRIME_BITS) & high)
+
     def _clean(self, pivot: int) -> None:
-        """Canonicalise a kept row that has pending updates."""
+        """Fold each part of a kept row that has pending updates."""
         if self.pending.pop(pivot, 0):
-            self.rows[pivot] = self._canonical(self.rows[pivot])
-            if self.track_width:
-                self.tracks[pivot] = self._canonical(self.tracks[pivot])
+            self.rows[pivot] = self._fold(self.rows[pivot])
+        if self.track_pending.pop(pivot, 0):
+            self.tracks[pivot] = self._fold(self.tracks[pivot])
 
     def _sum(self, acc: int, terms: list[tuple[int, int]], parts: dict[int, int]) -> int:
         """acc + sum of coef * parts[p] over terms, canonicalised every FOLD products.
 
-        acc and every part it adds must be canonical; so is the result.
+        acc must be canonical and every part it adds folded (module notes);
+        the result is canonical.
         """
         for lo in range(0, len(terms), FOLD):
             for p, coef in terms[lo : lo + FOLD]:
@@ -172,14 +194,14 @@ class RowBasis:
             raise ValueError(f"row has {len(entries)} entries, basis has {self.ncols} columns")
         work = 0
         hits = []
-        rows, pending = self.rows, self.pending
+        rows, pending, track_pending = self.rows, self.pending, self.track_pending
         for c in compress(range(self.ncols), entries):
             v = entries[c] % PRIME
             if v:
                 work |= v << (SLOT_BITS * c)
                 if c in rows:
                     hits.append((c, PRIME - v))
-                    if c in pending:
+                    if c in pending or c in track_pending:
                         self._clean(c)
         return self._sum(work, hits, rows), hits
 
@@ -208,7 +230,8 @@ class RowBasis:
         shift = SLOT_BITS * pivot
         inv = pow((work >> shift) & _SLOT_MASK, -1, PRIME)
         row = self._canonical(work * inv)
-        rows, tracks, pending = self.rows, self.tracks, self.pending
+        rows, tracks = self.rows, self.tracks
+        pending, track_pending = self.pending, self.track_pending
         tracked = self.track_width > 0
         if tracked:
             if not self.free_slots:
@@ -224,9 +247,12 @@ class RowBasis:
             if c:
                 c = PRIME - c
                 rows[p] = other + c * row
-                if tracked:
-                    tracks[p] += c * track
                 updates = pending[p] = pending.get(p, 0) + 1
+                if tracked:
+                    # a tracking part takes every update its structural part
+                    # takes, and the exchanges' too: its count is the larger
+                    tracks[p] += c * track
+                    updates = track_pending[p] = track_pending.get(p, 0) + 1
                 if updates == FOLD:
                     self._clean(p)
         rows[pivot] = row
@@ -256,14 +282,14 @@ class RowBasis:
         """The canonical tracking part of a dependent row's expansion in the kept rows."""
         # a dependent row is the sum of row[p] * rows[p] over the pivots p,
         # since every kept row is 1 at its own pivot and 0 at the others'
-        rows, pending = self.rows, self.pending
+        rows, pending, track_pending = self.rows, self.pending, self.track_pending
         hits = []
         for c in compress(range(self.ncols), entries):
             if c in rows:
                 v = entries[c] % PRIME
                 if v:
                     hits.append((c, v))
-                    if c in pending:
+                    if c in pending or c in track_pending:
                         self._clean(c)
         return self._sum(0, hits, self.tracks)
 
@@ -305,12 +331,12 @@ class RowBasis:
         # row with beta at the slot takes beta / alpha * (e_slot - expansion)
         step = self._canonical(track * (PRIME - 1) + (1 << shift))
         inv = pow(alpha, -1, PRIME)
-        tracks, pending = self.tracks, self.pending
+        tracks, track_pending = self.tracks, self.track_pending
         for p, other in tracks.items():
             beta = ((other >> shift) & _SLOT_MASK) % PRIME
             if beta:
                 tracks[p] = other + beta * inv % PRIME * step
-                updates = pending[p] = pending.get(p, 0) + 1
+                updates = track_pending[p] = track_pending.get(p, 0) + 1
                 if updates == FOLD:
                     self._clean(p)
         del self.index_of[old]
@@ -344,12 +370,14 @@ class RowBasis:
         self._clean(drop)
         row, track = self.rows[drop], self.tracks[drop]
         inv = pow(lead, -1, PRIME)
-        rows, tracks, pending = self.rows, self.tracks, self.pending
+        rows, tracks = self.rows, self.tracks
+        pending, track_pending = self.pending, self.track_pending
         for p, c in rest:
             f = PRIME - c * inv % PRIME
             rows[p] += f * row
             tracks[p] += f * track
-            updates = pending[p] = pending.get(p, 0) + 1
+            pending[p] = pending.get(p, 0) + 1
+            updates = track_pending[p] = track_pending.get(p, 0) + 1
             if updates == FOLD:
                 self._clean(p)
         del rows[drop], tracks[drop]

@@ -27,6 +27,17 @@ they would in one pass, with no circuit read in a layer that has a sink.
 That is also the precondition of the state protocol: ``circuit`` is asked
 only of an element the state does not extend with.
 
+A refusal is final.  A part's span never shrinks: an ``insert`` grows it
+and an ``exchange`` keeps it, so once part i refuses x it refuses x for
+the rest of the run, even after x joins it on a path.  ``partition``
+therefore owns one set per part of the elements that part has refused
+(``spanned``), beside the dead set and the room left: the probe pass
+skips every (x, i) with x in ``spanned[i]`` and records every new
+refusal.  A skipped probe would have said no, so every sink, label, path,
+part and dead set comes out as it would with every probe made.  This
+holds for every state that keeps the protocol's span rule, forests
+included.
+
 ``partition`` also owns the dead set.  A search from e that finds no path
 labels a set S, and every element of S is dead for the rest of the run:
 each part's members in S span S (an element of S outside part i has a
@@ -87,7 +98,9 @@ class MatroidState(Protocol):
     ``circuit`` may be asked only of an element that the state does not
     extend with (``extends`` is False for it as the state stands).
     ``exchange(add, old)`` swaps the member ``old`` for such an element;
-    it refuses (False) when ``old`` is not in the element's circuit.
+    it refuses (False) when ``old`` is not in the element's circuit.  The
+    span never shrinks: ``insert`` grows it and ``exchange`` keeps it, so
+    once ``extends`` is False for an element it stays False (module notes).
     """
 
     def insert(self, edge_id: int) -> bool: ...
@@ -225,11 +238,13 @@ def partition(
     dead: set[int] = set()
     # elements each part can still take; only a path's sink part grows
     room = [o.max_rank for o in oracles]
+    # elements each part has refused; spans only grow, so a refusal is final
+    spanned: list[set[int]] = [set() for _ in states]
     full = sum(room)
     for e in order:
         if len(part_of) == full:
             break
-        moves = _search(e, states, part_of, dead, room)
+        moves = _search(e, states, part_of, dead, room, spanned)
         if moves is not None:
             _augment(moves, states, part_of)
             room[moves[0][0]] -= 1
@@ -242,14 +257,16 @@ def partition(
                             frozenset(dead))
 
 
-def _search(e, states, part_of, dead, room) -> list[tuple[int, int, int | None]] | None:
+def _search(e, states, part_of, dead, room,
+            spanned) -> list[tuple[int, int, int | None]] | None:
     """Shortest augmenting path from e as moves (part, added, removed), or None.
 
     Breadth-first, lexicographic within layers, two passes per layer
     (module notes): the first part with room that x extends is the sink
     (the path of length 0 when x is e); only a layer without one reads
-    circuits.  A dead element is never labelled; a failed search marks
-    every labelled one dead.
+    circuits.  A part is not probed again with an element it has refused
+    (``spanned``), and every new refusal is recorded there.  A dead element
+    is never labelled; a failed search marks every labelled one dead.
     """
     prev: dict[int, tuple[int, int]] = {e: (-1, -1)}
     frontier = [e]
@@ -257,13 +274,16 @@ def _search(e, states, part_of, dead, room) -> list[tuple[int, int, int | None]]
         for x in frontier:
             home = part_of.get(x)
             for i, state in enumerate(states):
-                if i != home and room[i] and state.extends(x):
+                if i == home or not room[i] or x in spanned[i]:
+                    continue
+                if state.extends(x):
                     moves = [(i, x, None)]
                     while prev[x] != (-1, -1):
                         px, m = prev[x]
                         moves.append((m, px, x))
                         x = px
                     return moves
+                spanned[i].add(x)
         nxt: list[int] = []
         for x in frontier:
             home = part_of.get(x)

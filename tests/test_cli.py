@@ -50,6 +50,25 @@ def test_gen_harary_and_witnesses(capsys, monkeypatch):
     assert last_json(out)["stats"]["strict"] is True
 
 
+@pytest.mark.parametrize("argv,message", [
+    # harary reads its vertex count from --m
+    (["harary", "--k", "31", "--n", "100"], "gen harary reads --k, --m, not --n"),
+    (["complete", "--n", "5", "--k", "3", "--p", "0.5"], "gen complete reads --n, not --k, --p"),
+    (["lovasz-yemini", "--s", "4", "--d", "2"], "reads --dims, --s, not --d"),
+])
+def test_gen_rejects_flags_its_kind_does_not_read(capsys, argv, message):
+    assert main(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_gen_fills_in_the_defaults_of_the_flags_it_reads(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, ["gen", "harary", "--k", "5", "--m", "12"])
+    assert code == 0 and read_graph(out).m == 30
+    code, out = run_cli(capsys, monkeypatch, ["gen", "gnp", "--n", "12", "--seed", "3"])
+    assert code == 0 and read_graph(out).edges == gnp_graph(12, 0.5, 3).edges
+
+
 def test_rank_prints_number(capsys, monkeypatch):
     text = write_graph(complete_graph(4))
     code, out = run_cli(capsys, monkeypatch, ["rank", "--d", "2"], stdin=text)

@@ -425,8 +425,9 @@ def test_row_basis_exchange_counts_pending_updates():
     # pivot-1 row is raw0 - raw1, so it holds member 1's slot.  Each later
     # member x * e_0 replaces the one in that slot: its expansion hits only
     # the pivot-0 row, so the pivot-1 row takes one tracking update per
-    # exchange and is never used as a multiplier; it is canonicalised at
-    # its FOLD-th pending update, and every slot stays inside the bound.
+    # exchange and is never used as a multiplier.  The exchanges count in
+    # its tracking part's pending count only; that part is folded at its
+    # FOLD-th pending update, and every slot stays inside the bound.
     rng = random.Random(9)
     basis = RowBasis(2, track_width=2)
     raw = {0: [1, 1], 1: [1, 0]}
@@ -435,14 +436,16 @@ def test_row_basis_exchange_counts_pending_updates():
     for m in range(2, FOLD + 8):
         raw[m] = [rng.randrange(1, PRIME), 0]
         assert basis.exchange(raw[m], m, m - 1)
-        updates = basis.pending.get(1, 0)
+        updates = basis.track_pending.get(1, 0)
         peak = max(peak, updates)
         assert updates < FOLD
-        bound = (1 << PRIME_BITS) + updates * (1 << (2 * PRIME_BITS))
-        assert slots_below(basis.tracks[1], 2, bound)
+        assert slots_below(basis.tracks[1], 2, pending_bound(updates))
         assert values(basis)[0] == {1: [0, 1], 0: [1, 0]}
+        # the structural part keeps the one update of member 1's insert
+        # until the fold; no exchange counts against it
+        assert basis.pending == ({1: 1} if m < FOLD else {})
     # one update from the insert of member 1, then FOLD + 6 exchanges
-    assert peak == FOLD - 1 and basis.pending[1] == 7
+    assert peak == FOLD - 1 and basis.track_pending[1] == 7
     assert basis.index_of == {0: 0, m: 1}
     assert_tracking_exact(basis, raw)
     assert dependent_circuit(basis, [5, 7]) == {0, m}
@@ -494,6 +497,17 @@ def slots_below(packed, width, bound):
     add = ones * ((1 << SLOT_BITS) - bound)
     carries = packed ^ add ^ (packed + add)
     return packed >> (SLOT_BITS * width) == 0 and not carries & (ones << SLOT_BITS)
+
+
+# A fold leaves a slot at most FOLDED (module notes), and a coefficient
+# below PRIME times such a slot is below PRODUCT.
+FOLDED = (1 << PRIME_BITS) + (1 << (SLOT_BITS - 2 * PRIME_BITS))
+PRODUCT = FOLDED << PRIME_BITS
+
+
+def pending_bound(updates):
+    """The slot bound of a kept part with this many pending updates."""
+    return FOLDED + updates * PRODUCT
 
 
 def test_row_basis_slot_bound_under_pending_updates():
@@ -554,17 +568,16 @@ def test_row_basis_slot_bound_under_pending_updates():
         # every update or fold makes a new int, so a part that is the object
         # checked last time is skipped; the copies keep those objects alive
         nonlocal peak, noncanonical
-        pending = basis.pending
-        peak = max(peak, *pending.values(), 0)
+        counts = (basis.pending, basis.track_pending)
+        peak = max(peak, *counts[0].values(), *counts[1].values(), 0)
         assert peak <= FOLD
         for i, parts in enumerate((basis.rows, basis.tracks)):
             last = checked[i]
             for pivot, part in parts.items():
                 if part is last.get(pivot):
                     continue
-                updates = pending.get(pivot, 0)
-                assert slots_below(part, ncols,
-                                   (1 << PRIME_BITS) + updates * (1 << (2 * PRIME_BITS)))
+                updates = counts[i].get(pivot, 0)
+                assert slots_below(part, ncols, pending_bound(updates))
                 assert part.bit_length() <= SLOT_BITS * ncols
                 noncanonical = noncanonical or not slots_below(part, ncols, PRIME)
                 stressed[i] = stressed[i] or not slots_below(part, ncols, high)
@@ -573,11 +586,12 @@ def test_row_basis_slot_bound_under_pending_updates():
     for m, row in enumerate(raw):
         assert basis.insert(row, m)
         check_slots()
-    # rows 0..3 took `units` updates: canonicalised at the FOLD-th, then 3
-    # more; before that fold the shared slots of rows 0 and 1 came close to
-    # the bound, well past `high`
+    # rows 0..3 took `units` updates: folded at the FOLD-th, then 3 more;
+    # before that fold the shared slots of rows 0 and 1 came close to the
+    # bound, well past `high`
     assert peak == FOLD - 1
     assert [basis.pending[ncols - 1 - i] for i in range(head)] == [units - FOLD] * head
+    assert basis.track_pending == basis.pending
     assert noncanonical
     assert stressed == [True, True]
     # queries still see the exact basis: every raw row's circuit is itself
@@ -586,11 +600,11 @@ def test_row_basis_slot_bound_under_pending_updates():
     live = dict(enumerate(raw))
     probe = [(a + 3 * b) % PRIME for a, b in zip(raw[0], raw[7])]
     assert dependent_circuit(basis, probe) == {0, 7}
-    # every row has since served as a multiplier, so every row is canonical
-    assert not basis.pending
+    # every row has since served as a multiplier, so every row is folded
+    assert not basis.pending and not basis.track_pending
     for pivot, row in basis.rows.items():
         for part in (row, basis.tracks[pivot]):
-            assert slots_below(part, ncols, PRIME)
+            assert slots_below(part, ncols, FOLDED)
     # each removal downdates every row that stays: the last 8 take FOLD + 3
     # each (the highest slot goes first, which keeps remove's scan short),
     # and the shared slots of rows 2 and 3 pass `high` before their fold
@@ -601,6 +615,7 @@ def test_row_basis_slot_bound_under_pending_updates():
         check_slots()
     assert peak == FOLD - 1
     assert sorted(basis.pending.values()) == [units - FOLD] * len(live) == [3] * 8
+    assert basis.track_pending == basis.pending
     assert stressed == [True, True]
     for m, row in live.items():
         assert dependent_circuit(basis, row) == {m}
@@ -611,11 +626,32 @@ def test_row_basis_slot_bound_under_pending_updates():
 
 def test_fold_is_the_largest_count_a_slot_holds():
     # the slot bound of the module notes, read off the constants alone:
-    # one canonical entry plus FOLD products below 2^(2 * PRIME_BITS)
+    # one folded entry plus FOLD products of a coefficient and a folded
+    # entry, and so also one canonical entry plus FOLD products of two
     entry, product, slot = 1 << PRIME_BITS, 1 << (2 * PRIME_BITS), 1 << SLOT_BITS
+    assert FOLDED + FOLD * PRODUCT < slot <= FOLDED + (FOLD + 1) * PRODUCT
+    assert (PRIME - 1) * FOLDED < PRODUCT
     assert entry + FOLD * product < slot <= entry + (FOLD + 1) * product
     assert PRIME == entry - 1
     assert entry <= 1 << (8 * linalg._ENTRY_BYTES) <= slot
+
+
+def test_fold_edge_slots():
+    # two folds bring every slot, a full one included, to at most FOLDED
+    # and keep it congruent, with no carry into the next slot; a pivot's 1,
+    # and a row whose slots are already small, are unchanged
+    basis = RowBasis(3)
+    top = (1 << SLOT_BITS) - 1
+    for slots in ([top, 0, 1], [top, top, top], [PRIME, 1, 0], [1 << PRIME_BITS, top, 1]):
+        packed = sum(v << (SLOT_BITS * i) for i, v in enumerate(slots))
+        folded = basis._fold(packed)
+        assert slots_below(folded, 3, FOLDED + 1)
+        assert decoded(folded, 3) == [v % PRIME for v in slots]
+    one = 1 << (SLOT_BITS * 2)  # a pivot at slot 2, zero below
+    assert basis._fold(one) == one
+    assert basis._fold(top) == FOLDED - 2  # the largest slot a fold leaves
+    row = 5 + (1 << SLOT_BITS) * 7 + one
+    assert basis._fold(row) == row
 
 
 def test_row_basis_folds_wide_sums():

@@ -209,8 +209,9 @@ def test_partition_raises_on_a_refused_path_insert():
 
 class CountingOracle:
     """An oracle whose states count, in one shared Counter, every refused
-    insert or exchange, probe and circuit read, and every probe of a part
-    that already holds ``max_rank`` elements."""
+    insert or exchange, probe and circuit read, every probe of a part that
+    already holds ``max_rank`` elements, and every refused probe of an
+    element the state has refused before."""
 
     def __init__(self, inner, log):
         self.inner, self.log = inner, log
@@ -226,6 +227,7 @@ class CountingOracle:
 class CountingState:
     def __init__(self, inner, cap, log):
         self.inner, self.cap, self.log, self.size = inner, cap, log, 0
+        self.refused = set()
 
     def insert(self, edge_id):
         ok = self.inner.insert(edge_id)
@@ -236,7 +238,11 @@ class CountingState:
     def extends(self, edge_id):
         self.log["probes"] += 1
         self.log["full_probes"] += self.size >= self.cap
-        return self.inner.extends(edge_id)
+        ok = self.inner.extends(edge_id)
+        if not ok:
+            self.log["repeated_refusals"] += edge_id in self.refused
+            self.refused.add(edge_id)
+        return ok
 
     def circuit(self, edge_id):
         self.log["circuits"] += 1
@@ -332,21 +338,23 @@ def test_dead_set_prunes_circuit_queries():
     # the last 76 edges start no search.  A one-pass search, which reads a
     # circuit for every dependent (x, part), makes 364 queries here; with
     # the dead set alone it makes 524, with neither 8096.  The two passes
-    # probe 252 times and read 192 circuits, only in layers without a sink.
+    # read 192 circuits, only in layers without a sink, and probe 243 times:
+    # 252 without the memo of refusals, which skips 9 repeated probes.
     g = gnp_graph(30, 0.5, seed=4)
     log = Counter()
     oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
     result = partition([CountingOracle(o, log) for o in oracles], range(g.m))
     assert result.total == 2 * complete_rank(30, 2) == 114
-    assert (log["probes"], log["circuits"]) == (252, 192)
+    assert (log["probes"], log["circuits"]) == (243, 192)
     assert log["probes"] < 364 < 524 < 8096
     assert result.dead == result.ground
     assert_dead_set_closed(oracles, result)
 
 
-def one_pass_search(e, states, part_of, dead, room):
-    """The reference search: one pass per layer, every part probed (room is
-    ignored), every dependent (x, part) read as it is met, sink layers included."""
+def one_pass_search(e, states, part_of, dead, room, spanned):
+    """The reference search: one pass per layer, every part probed (room and
+    the memo of refusals are ignored), every dependent (x, part) read as it
+    is met, sink layers included."""
     prev = {e: (-1, -1)}
     frontier = [e]
     while frontier:
@@ -371,9 +379,9 @@ def one_pass_search(e, states, part_of, dead, room):
     return None
 
 
-def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
-    # parts, dead sets and totals agree with the one-pass search on every
-    # host; the two passes never probe a full part and read fewer circuits
+def search_cases():
+    """43 seeded oracle lists: rigid t = 1..3, graphic + rigid, colliding
+    d = 1 oracles, and G(24, 0.3, seed 2) at d = 2, t = 2 (failed searches)."""
     rng = random.Random(22)
     cases = []
     for _ in range(36):
@@ -386,8 +394,16 @@ def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
         cases.append([colliding_d1_oracle(g, rng)] * rng.randint(2, 3))
     short = gnp_graph(24, 0.3, seed=2)
     cases.append([RigidityOracle(short, 2, 5, salt=1)] * 2)
+    return cases
+
+
+def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
+    # parts, dead sets and totals agree with the one-pass search on every
+    # host; the two passes never probe a full part, never probe again what
+    # a part has refused, and read fewer circuits.  The reference keeps no
+    # memo of refusals, so this is also the memo's differential test.
     two, one = Counter(), Counter()
-    for oracles in cases:
+    for oracles in search_cases():
         ground = range(oracles[-1].graph.m)
         result = partition([CountingOracle(o, two) for o in oracles], ground)
         assert two["full_probes"] == 0
@@ -397,9 +413,36 @@ def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
         assert result.parts == reference.parts
         assert result.dead == reference.dead
     assert result.sizes == (44, 43)  # the short host
-    # the reference probes full parts, and reads circuits in sink layers
+    # the reference probes full parts, repeats refused probes, and reads
+    # circuits in sink layers
     assert one["full_probes"] > 0
+    assert two["repeated_refusals"] == 0 < one["repeated_refusals"]
     assert two["probes"] < one["probes"] and two["circuits"] < one["circuits"]
+
+
+def test_remembered_refusals_stay_refused(monkeypatch):
+    # a part's span never shrinks (inserts grow it, exchanges keep it), so
+    # a fresh probe of each final state refuses every element that part
+    # refused during the run, including elements that later joined it
+    search = matroid._search
+    final = []
+
+    def recorded(e, states, part_of, dead, room, spanned):
+        final[:] = [states, part_of, spanned]
+        return search(e, states, part_of, dead, room, spanned)
+
+    monkeypatch.setattr(matroid, "_search", recorded)
+    remembered = joined = 0
+    for oracles in search_cases():
+        partition(oracles, range(oracles[-1].graph.m))
+        states, part_of, spanned = final
+        assert len(spanned) == len(states) == len(oracles)
+        for i, (state, refused) in enumerate(zip(states, spanned)):
+            for x in sorted(refused):
+                assert not state.extends(x)
+                joined += part_of.get(x) == i
+            remembered += len(refused)
+    assert remembered > 500 and joined > 0
 
 
 def remove_then_insert(moves, states, part_of):
