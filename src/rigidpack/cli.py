@@ -123,6 +123,14 @@ def _gen_flags(args) -> None:
             setattr(args, flag, GEN_DEFAULTS[flag])
 
 
+def _int_list(flag: str, text: str, items: str) -> list[int]:
+    """A comma-separated list of ints; a usage error names the flag."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated {items}, got {text!r}") from None
+
+
 def _cmd_gen(args) -> int:
     _gen_flags(args)
     kind = args.kind
@@ -135,7 +143,7 @@ def _cmd_gen(args) -> int:
     elif kind == "harary":
         graph = harary_graph(args.k, args.m)
     elif kind == "lovasz-yemini":
-        example = lovasz_yemini([int(x) for x in args.dims.split(",")], args.s)
+        example = lovasz_yemini(_int_list("--dims", args.dims, "dimensions"), args.s)
         graph = example.graph
         stats = {
             "connectivity": example.connectivity,
@@ -219,7 +227,7 @@ def _cmd_orient(args) -> int:
     graph = read_graph(_read_input(args))
     deficit_vertices = None
     if args.R is not None:
-        deficit_vertices = [int(x) for x in args.R.split(",")] if args.R else []
+        deficit_vertices = _int_list("--R", args.R, "vertex ids") if args.R else []
     try:
         oriented, report = k_connected_orientation(
             graph, args.k, args.seed, deficit_vertices, verify=args.verify

@@ -45,11 +45,13 @@ every slot, applied through per-slot masks until no slot reaches 2^31
   of ``exchange`` and the downdate of ``remove``), so after u of them a
   slot is below 2^31 + 2^10 + u * (2^62 + 2^41).  Each part counts its
   own updates, ``pending`` the structural part and ``track_pending`` the
-  tracking part (``exchange`` updates only the latter); a part is folded
-  as soon as its count reaches FOLD, and when its row is next used as a
-  multiplier.  Every slot read of a kept row goes through ``% PRIME``,
-  and a fold leaves a pivot's 1 and the zeros above it alone, so a folded
-  row serves as its canonical form would.
+  tracking part (``exchange`` updates only the latter).  A part is folded
+  where it is read: ``_sum`` folds it before it multiplies it, so a
+  reduction folds only structural parts and a circuit read only tracking
+  parts.  Both parts of a row are folded as soon as either count reaches
+  FOLD.  Every slot read of a kept row goes through ``% PRIME``, and a
+  fold leaves a pivot's 1 and the zeros above it alone, so a folded row
+  serves as its canonical form would.
 * **Triangular rows.**  Every kept row's top nonzero slot is its own
   pivot, where it holds exactly 1 (``rows[p].bit_length() == SLOT_BITS * p
   + 1``), so a row at pivot p spans p + 1 slots, not ``ncols``.  ``insert``
@@ -75,20 +77,19 @@ every slot, applied through per-slot masks until no slot reaches 2^31
   s' != s) / alpha; so a kept row with beta at slot s takes beta / alpha *
   (e_s - E) in its tracking part only, and y takes slot s.  If alpha is 0,
   x is not in y's circuit and nothing changes.
-* **One reduction per placed row.**  The independence probe ``extends``
-  reduces its row; when the row is independent it saves the reduced row
-  and the pivots it hit.  The next ``insert`` of the same row object (the
-  apply step of an augmenting path) uses them instead of reducing the row
-  again.  Every ``insert``, ``exchange`` and ``remove`` drops the saved
-  reduction, so it is never used against a changed basis; other queries
-  only fold kept rows, which changes no value mod PRIME.  Rows are
-  treated as immutable.
+* **A refused insert changes nothing.**  ``insert`` reduces its row before
+  it touches the basis, and a row that reduces to zero returns False
+  there: no slot is taken and no member recorded.  Its reduction only
+  folds the structural parts it reads, which changes no value mod PRIME.
+  So an insert is also the independence probe: the partition asks each
+  part to take an element and reads the answer.
 * **Circuits of dependent rows only.**  ``circuit`` assumes its row is
-  dependent, which the caller has learnt from a probe.  In reduced
-  row-echelon form such a row is the sum of its own entries at the pivot
-  columns times the kept rows there, so ``circuit`` reads those entries as
-  coefficients and sums only the tracking parts (``_expansion``, which
-  ``exchange`` shares); it makes no structural reduction.
+  dependent: a row that ``insert`` refused, as the basis stands.  In
+  reduced row-echelon form such a row is the sum of its own entries at
+  the pivot columns times the kept rows there, so ``circuit`` reads those
+  entries as coefficients and sums only the tracking parts
+  (``_expansion``, which ``exchange`` shares); it makes no structural
+  reduction.
 * **Residues.**  ``residue`` returns a reduced row whose entries depend on
   the pivots chosen; only whether it is zero carries meaning.
 """
@@ -125,7 +126,7 @@ class RowBasis:
     """
 
     __slots__ = ("ncols", "track_width", "width", "rows", "tracks", "pending",
-                 "track_pending", "index_of", "slot_member", "free_slots", "_saved",
+                 "track_pending", "index_of", "slot_member", "free_slots",
                  "_ones", "_low", "_high")
 
     def __init__(self, ncols: int, track_width: int = 0):
@@ -139,9 +140,6 @@ class RowBasis:
         self.index_of: dict[int, int] = {}
         self.slot_member = [-1] * track_width
         self.free_slots = list(range(track_width - 1, -1, -1))
-        # (row, reduced row, hits) of the last probe that found its row
-        # independent; dropped by every insert, exchange and remove
-        self._saved: tuple[Sequence[int], int, list[tuple[int, int]]] | None = None
         # per-slot masks, wide enough for the structural and the tracking part
         self._ones = int.from_bytes(
             (b"\x01" + bytes(_SLOT_BYTES - 1)) * max(ncols, track_width), "little")
@@ -176,14 +174,18 @@ class RowBasis:
         if self.track_pending.pop(pivot, 0):
             self.tracks[pivot] = self._fold(self.tracks[pivot])
 
-    def _sum(self, acc: int, terms: list[tuple[int, int]], parts: dict[int, int]) -> int:
+    def _sum(self, acc: int, terms: list[tuple[int, int]], parts: dict[int, int],
+             pending: dict[int, int]) -> int:
         """acc + sum of coef * parts[p] over terms, canonicalised every FOLD products.
 
-        acc must be canonical and every part it adds folded (module notes);
-        the result is canonical.
+        acc must be canonical; a part with ``pending`` updates is folded
+        before it is multiplied (module notes).  The result is canonical.
         """
         for lo in range(0, len(terms), FOLD):
             for p, coef in terms[lo : lo + FOLD]:
+                if p in pending:
+                    del pending[p]
+                    parts[p] = self._fold(parts[p])
                 acc += coef * parts[p]
             acc = self._canonical(acc)
         return acc
@@ -194,24 +196,21 @@ class RowBasis:
             raise ValueError(f"row has {len(entries)} entries, basis has {self.ncols} columns")
         work = 0
         hits = []
-        rows, pending, track_pending = self.rows, self.pending, self.track_pending
+        rows = self.rows
         for c in compress(range(self.ncols), entries):
             v = entries[c] % PRIME
             if v:
                 work |= v << (SLOT_BITS * c)
                 if c in rows:
                     hits.append((c, PRIME - v))
-                    if c in pending or c in track_pending:
-                        self._clean(c)
-        return self._sum(work, hits, rows), hits
+        return self._sum(work, hits, rows, self.pending), hits
 
     def insert(self, entries: Sequence[int], member: int | None = None) -> bool:
         """Reduce and keep the row if independent; returns False on dependence.
 
         A tracking basis needs the member id of every row it is given, and
-        that member must not be live.  The reduction saved by the last
-        ``extends`` probe is reused when that probe was for this same row
-        object.
+        that member must not be live.  A refused row leaves every value,
+        member and free slot as it was (module notes).
         """
         if self.track_width and member is None:
             raise ValueError("a tracking basis needs a member id for each row")
@@ -219,11 +218,7 @@ class RowBasis:
             raise ValueError("member ids need track_width > 0")
         if member in self.index_of:
             raise ValueError(f"member {member} is already live")
-        saved, self._saved = self._saved, None
-        if saved is not None and saved[0] is entries:
-            _, work, hits = saved
-        else:
-            work, hits = self._reduce(entries)
+        work, hits = self._reduce(entries)
         if not work:
             return False
         pivot = (work.bit_length() - 1) // SLOT_BITS
@@ -238,7 +233,8 @@ class RowBasis:
                 raise ValueError("more independent rows than tracking slots")
             slot = self.free_slots.pop()
             track = self._sum(inv << (SLOT_BITS * slot),
-                              [(p, coef * inv % PRIME) for p, coef in hits], tracks)
+                              [(p, coef * inv % PRIME) for p, coef in hits], tracks,
+                              track_pending)
             self.index_of[member] = slot
             self.slot_member[slot] = member
         # clear the new pivot column from every other kept row
@@ -249,10 +245,11 @@ class RowBasis:
                 rows[p] = other + c * row
                 updates = pending[p] = pending.get(p, 0) + 1
                 if tracked:
-                    # a tracking part takes every update its structural part
-                    # takes, and the exchanges' too: its count is the larger
+                    # each part is also folded where it is read, so either
+                    # count may be the larger
                     tracks[p] += c * track
-                    updates = track_pending[p] = track_pending.get(p, 0) + 1
+                    track_pending[p] = track_pending.get(p, 0) + 1
+                    updates = max(updates, track_pending[p])
                 if updates == FOLD:
                     self._clean(p)
         rows[pivot] = row
@@ -267,36 +264,23 @@ class RowBasis:
         return [int.from_bytes(raw[i : i + _ENTRY_BYTES], "little")
                 for i in range(0, len(raw), _SLOT_BYTES)]
 
-    def extends(self, entries: Sequence[int]) -> bool:
-        """Whether the row is independent of the basis.
-
-        An independent row's reduction is saved for the ``insert`` of the
-        same row object that may follow (module notes).
-        """
-        work, hits = self._reduce(entries)
-        if work:
-            self._saved = (entries, work, hits)
-        return bool(work)
-
     def _expansion(self, entries: Sequence[int]) -> int:
         """The canonical tracking part of a dependent row's expansion in the kept rows."""
         # a dependent row is the sum of row[p] * rows[p] over the pivots p,
         # since every kept row is 1 at its own pivot and 0 at the others'
-        rows, pending, track_pending = self.rows, self.pending, self.track_pending
+        rows = self.rows
         hits = []
         for c in compress(range(self.ncols), entries):
             if c in rows:
                 v = entries[c] % PRIME
                 if v:
                     hits.append((c, v))
-                    if c in pending or c in track_pending:
-                        self._clean(c)
-        return self._sum(0, hits, self.tracks)
+        return self._sum(0, hits, self.tracks, self.track_pending)
 
     def circuit(self, entries: Sequence[int]) -> set[int]:
         """Members with nonzero coefficient in the expansion of a dependent row.
 
-        The row must be dependent on the basis (``extends`` is False); on
+        The row must be dependent on the basis (``insert`` refuses it); on
         an independent row the result means nothing.  Only valid with
         tracking enabled.
         """
@@ -326,7 +310,6 @@ class RowBasis:
         alpha = (track >> shift) & _SLOT_MASK
         if not alpha:
             return False
-        self._saved = None
         # raw[old] = (row - sum of the other slots' terms) / alpha, so a kept
         # row with beta at the slot takes beta / alpha * (e_slot - expansion)
         step = self._canonical(track * (PRIME - 1) + (1 << shift))
@@ -358,7 +341,6 @@ class RowBasis:
         """
         if not self.track_width:
             raise ValueError("removal needs track_width > 0")
-        self._saved = None
         slot = self.index_of.pop(member)
         shift = SLOT_BITS * slot
         holders = []
@@ -377,8 +359,8 @@ class RowBasis:
             rows[p] += f * row
             tracks[p] += f * track
             pending[p] = pending.get(p, 0) + 1
-            updates = track_pending[p] = track_pending.get(p, 0) + 1
-            if updates == FOLD:
+            track_pending[p] = track_pending.get(p, 0) + 1
+            if max(pending[p], track_pending[p]) == FOLD:
                 self._clean(p)
         del rows[drop], tracks[drop]
         self.slot_member[slot] = -1

@@ -11,21 +11,22 @@ in canonical edge order and ties break lexicographically, so runs are
 reproducible.  Every query goes to the part's state as it stands.
 
 Each layer of the search runs in two passes.  The probe pass asks each
-(x, part) in order, x in the layer and the part not holding x, whether
-part + x is independent (``extends``); the first yes is the sink.  A part
-that holds its oracle's ``max_rank`` elements is a basis, so it can never
-be a sink and is not probed.  Only a layer with no sink takes the label
-pass, which reads ``circuit(x)`` of every such (x, part), full parts
-included, in the same order, and labels the next layer from it.  A
-one-pass search that read a circuit for every dependent (x, part) would
-find the same sink, since a full part is never one.  The circuits it read
-in the sink layer labelled elements that no path reads, because a path
-is traced back through earlier layers only; and it labelled every layer
-without a sink from the same circuits in the same order.  So every label
-that matters, every path, every part and the dead set below come out as
-they would in one pass, with no circuit read in a layer that has a sink.
-That is also the precondition of the state protocol: ``circuit`` is asked
-only of an element the state does not extend with.
+(x, part) in order, x in the layer and the part not holding x, to take x
+(``insert``).  A refused insert changes nothing, and the first kept one
+makes its part the sink, with x already placed in it.  A part that holds
+its oracle's ``max_rank`` elements is a basis, so it can never be a sink
+and is not probed.  Only a layer with no sink takes the label pass, which
+reads ``circuit(x)`` of every such (x, part), full parts included, in the
+same order, and labels the next layer from it.  A one-pass search that
+read a circuit for every dependent (x, part) would find the same sink,
+since a full part is never one.  The circuits it read in the sink layer
+labelled elements that no path reads, because a path is traced back
+through earlier layers only; and it labelled every layer without a sink
+from the same circuits in the same order.  So every label that matters,
+every path, every part and the dead set below come out as they would in
+one pass, with no circuit read in a layer that has a sink.  That is also
+the precondition of the state protocol: ``circuit`` is asked only of an
+element the state has refused as it stands.
 
 A refusal is final.  A part's span never shrinks: an ``insert`` grows it
 and an ``exchange`` keeps it, so once part i refuses x it refuses x for
@@ -59,23 +60,27 @@ search would fail: ``partition`` stops there, and the dead set is the whole
 ground set, which every part spans.  The parts are those the remaining
 searches would have left.
 
-A path e = z_0 -> z_1 -> ... -> z_k -> sink is applied in path order: each
-swap part_m + z_j - z_{j+1} is one ``exchange(z_j, z_{j+1})``, and the sink
-move is an ``insert`` of z_k.  An exchange keeps its part's span, so z_k
-still extends the sink part when its insert comes, even if that part
-swapped earlier on the path.  Every exchange finds z_{j+1} in z_j's
-circuit as the part then stands: z_{l+1} is first labelled in layer
-l + 1, so the breadth-first layers leave no shortcut arc z_j -> z_{l+1}
-for j < l.  Within one part, the circuit coefficients of the path's pairs
-(z_j, z_{j+1}) therefore form a triangular matrix with a nonzero
-diagonal, and exchanging some pairs leaves every other pair's diagonal
-entry nonzero, in any order.  So a shortest augmenting path keeps every
-part independent in any matroid (Knuth 1973; Cunningham 1986).
+A path e = z_0 -> z_1 -> ... -> z_k -> sink is applied sink first: the
+probe has already inserted z_k into the sink part, and then each swap
+part_m + z_j - z_{j+1} is one ``exchange(z_j, z_{j+1})``, in path order.
+The insert changes no circuit that an exchange reads, even where the sink
+part itself swaps on the path.  Its members other than z_k keep their
+span through every exchange, every z_j it swaps in lies in that span,
+and z_k lies outside it, so the expansion of z_j gives z_k coefficient 0
+(in a forest, z_j's path never uses the edge z_k).  Every exchange finds
+z_{j+1} in z_j's circuit as the part then stands: z_{l+1} is first
+labelled in layer l + 1, so the breadth-first layers leave no shortcut
+arc z_j -> z_{l+1} for j < l.  Within one part, the circuit coefficients
+of the path's pairs (z_j, z_{j+1}) therefore form a triangular matrix
+with a nonzero diagonal, and exchanging some pairs leaves every other
+pair's diagonal entry nonzero, in any order.  So a shortest augmenting
+path keeps every part independent in any matroid (Knuth 1973; Cunningham
+1986).
 
 Each state answers exactly for one fixed matroid; a rigidity state's is the
 linear matroid of its realization, whose "independent" answers are exact
-generically too.  So a refused insert or exchange on a path is a kernel
-fault and raises ``OracleInconsistencyError``.  A short result is the only
+generically too.  So a refused exchange on a path is a kernel fault and
+raises ``OracleInconsistencyError``.  A short result is the only
 symptom of an unlucky realization.
 
 So ``guarded_partition``, which ``rank_union``, ``pack_rigid`` and
@@ -95,16 +100,17 @@ from .rigidity import RigidityOracle, guarded, independent_d1
 class MatroidState(Protocol):
     """One part's independent set.
 
-    ``circuit`` may be asked only of an element that the state does not
-    extend with (``extends`` is False for it as the state stands).
-    ``exchange(add, old)`` swaps the member ``old`` for such an element;
-    it refuses (False) when ``old`` is not in the element's circuit.  The
-    span never shrinks: ``insert`` grows it and ``exchange`` keeps it, so
-    once ``extends`` is False for an element it stays False (module notes).
+    ``insert`` adds an element that keeps the set independent and returns
+    whether it did; a refused ``insert`` changes nothing, so it is also the
+    independence probe.  ``circuit`` may be asked only of an element that
+    ``insert`` refuses as the state stands.  ``exchange(add, old)`` swaps
+    the member ``old`` for such an element; it refuses (False) when ``old``
+    is not in the element's circuit, and then changes nothing.  The span
+    never shrinks: ``insert`` grows it and ``exchange`` keeps it, so once
+    ``insert`` refuses an element it refuses it for good (module notes).
     """
 
     def insert(self, edge_id: int) -> bool: ...
-    def extends(self, edge_id: int) -> bool: ...
     def circuit(self, edge_id: int) -> set[int]: ...
     def exchange(self, add: int, old: int) -> bool: ...
 
@@ -118,9 +124,9 @@ class IndependenceOracle(Protocol):
 
 
 class OracleInconsistencyError(RuntimeError):
-    """A state refused an insert or an exchange on an augmenting path it
-    had admitted: a shortest path never needs either refused (module
-    notes), so the kernel is at fault."""
+    """A state refused an exchange on an augmenting path it had admitted:
+    a shortest path never needs one refused (module notes), so the kernel
+    is at fault."""
 
 
 class GraphicOracle:
@@ -173,10 +179,6 @@ class ForestState:
         self._adj.setdefault(u, []).append((v, edge_id))
         self._adj.setdefault(v, []).append((u, edge_id))
         return True
-
-    def extends(self, edge_id: int) -> bool:
-        u, v = self.graph.edges[edge_id]
-        return self._root(u, v) is None
 
     def circuit(self, edge_id: int) -> set[int]:
         """The forest path between the edge's ends; the edge must close a cycle."""
@@ -262,9 +264,9 @@ def _search(e, states, part_of, dead, room,
     """Shortest augmenting path from e as moves (part, added, removed), or None.
 
     Breadth-first, lexicographic within layers, two passes per layer
-    (module notes): the first part with room that x extends is the sink
-    (the path of length 0 when x is e); only a layer without one reads
-    circuits.  A part is not probed again with an element it has refused
+    (module notes): the first part with room that takes x (``insert``) is
+    the sink, and x is placed there (the path of length 0 when x is e);
+    only a layer without one reads circuits.  A part is not probed again with an element it has refused
     (``spanned``), and every new refusal is recorded there.  A dead element
     is never labelled; a failed search marks every labelled one dead.
     """
@@ -276,7 +278,7 @@ def _search(e, states, part_of, dead, room,
             for i, state in enumerate(states):
                 if i == home or not room[i] or x in spanned[i]:
                     continue
-                if state.extends(x):
+                if state.insert(x):
                     moves = [(i, x, None)]
                     while prev[x] != (-1, -1):
                         px, m = prev[x]
@@ -300,19 +302,17 @@ def _search(e, states, part_of, dead, room,
 
 
 def _augment(moves, states, part_of) -> None:
-    """Apply a path in path order, from e to the sink.
+    """Apply a path's swaps in path order, from e to the sink.
 
-    ``moves`` runs from the sink back to e, so it is walked in reverse:
-    each swap is an ``exchange`` and the sink move an ``insert``.  The
-    breadth-first layers make each part's swaps triangular, so no exchange
-    is refused, and exchanges keep spans, so the sink insert is not either
-    (module notes).  Each removed element is the added element of the move
-    after it, so recording the added elements' parts updates ``part_of``
-    in full.
+    ``moves`` runs from the sink back to e, so it is walked in reverse.
+    The search has already inserted the sink element, so each swap is an
+    ``exchange``; the breadth-first layers make each part's swaps
+    triangular, so none is refused (module notes).  Each removed element
+    is the added element of the move after it, so recording the added
+    elements' parts updates ``part_of`` in full.
     """
     for i, add, old in reversed(moves):
-        state = states[i]
-        if not (state.insert(add) if old is None else state.exchange(add, old)):
+        if old is not None and not states[i].exchange(add, old):
             raise OracleInconsistencyError(f"part {i} refused element {add} on a path")
         part_of[add] = i
 

@@ -229,12 +229,12 @@ class RigidityPartitionState:
     """Incremental independent set over one oracle, with exchange queries.
 
     Wraps a tracking RowBasis whose member ids are edge indices, with one
-    recycled tracking slot per live edge.  ``extends(e)`` asks whether
-    part + e is independent, and saves the row's reduction for the insert
-    of e that may follow.  ``circuit(e)``, asked only of an edge that does
-    not extend the part, reports its fundamental circuit: exactly the
-    members y for which part - y + e is independent.  ``exchange(e, y)``
-    makes that swap for such a y, rewriting tracking coefficients only
+    recycled tracking slot per live edge.  ``insert(e)`` adds e when
+    part + e is independent and otherwise changes nothing, so it is also
+    the probe.  ``circuit(e)``, asked only of an edge that ``insert``
+    refused, reports its fundamental circuit: exactly the members y for
+    which part - y + e is independent.  ``exchange(e, y)`` makes that swap
+    for such a y, rewriting tracking coefficients only
     (``RowBasis.exchange``).
     """
 
@@ -248,9 +248,6 @@ class RigidityPartitionState:
 
     def insert(self, edge_id: int) -> bool:
         return self.basis.insert(self.oracle.row(edge_id), edge_id)
-
-    def extends(self, edge_id: int) -> bool:
-        return self.basis.extends(self.oracle.row(edge_id))
 
     def circuit(self, edge_id: int) -> set[int]:
         return self.basis.circuit(self.oracle.row(edge_id))

@@ -235,6 +235,13 @@ def test_parse_error_exit_2(capsys, monkeypatch):
         # an explicit empty set is a set too, not the default one
         (["orient", "--k", "2", "--R", ""], write_graph(complete_graph(9)),
          "deficit set must hold"),
+        # a list flag that does not parse is named, with what it takes
+        (["gen", "lovasz-yemini", "--dims", "a"], "",
+         "--dims takes comma-separated dimensions, got 'a'"),
+        (["orient", "--k", "2", "--R", "a,b"], write_graph(complete_graph(9)),
+         "--R takes comma-separated vertex ids, got 'a,b'"),
+        (["orient", "--k", "2", "--R", "1,,2"], write_graph(complete_graph(9)),
+         "--R takes comma-separated vertex ids, got '1,,2'"),
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         assert main(argv) == 2

@@ -161,9 +161,13 @@ def test_row_basis_remove_consistency():
         assert len(basis) == len(live) == bareiss_rank([raw[m] for m in live])
 
 
+# a member id that no test gives a row of its own
+PROBE = -1
+
+
 def dependent_circuit(basis, row):
-    """The row's circuit, after a probe that finds the row dependent (circuit's precondition)."""
-    assert not basis.extends(row)
+    """The row's circuit, after an insert that refuses the row (circuit's precondition)."""
+    assert not basis.insert(row, PROBE)
     return basis.circuit(row)
 
 
@@ -174,7 +178,6 @@ def test_row_basis_insert_rejects_a_live_member():
         with pytest.raises(ValueError, match="already live"):
             basis.insert(row, 7)
     assert len(basis) == 1 and basis.index_of == {7: 0}
-    assert basis.extends([1, 1, 0])
     assert dependent_circuit(basis, [3, 0, 0]) == {7}
     basis.remove(7)
     assert len(basis) == 0 and sorted(basis.free_slots) == [0, 1, 2]
@@ -258,9 +261,6 @@ def test_row_basis_differential(seed, monkeypatch):
     def no_insert(*args, **kwargs):
         raise AssertionError("remove re-inserted a row")
 
-    def no_reduce(*args, **kwargs):
-        raise AssertionError("insert reduced a row whose reduction was saved")
-
     def remove(victim):
         with monkeypatch.context() as patched:
             patched.setattr(RowBasis, "insert", no_insert)
@@ -279,34 +279,11 @@ def test_row_basis_differential(seed, monkeypatch):
         op = rng.random()
         if live and op < 0.2:
             remove(rng.choice(sorted(live)))
-        elif op < 0.5:
-            insert(rng.choice([m for m in range(len(raw)) if m not in live]))
         elif op < 0.75:
-            # a probe that finds its row independent saves the reduction for
-            # the next insert of the same row, which reduces nothing; any
-            # insert or remove must drop it
             m = rng.choice([m for m in range(len(raw)) if m not in live])
-            expected = brute_circuit(live, raw[m])
-            assert basis.extends(raw[m]) == (expected is None)
-            if expected is None:
-                way = rng.randrange(3)
-                if way == 1:
-                    # a different row first, one that makes the queried row dependent
-                    x = rng.randrange(2, PRIME)
-                    raw.append([x * v % PRIME for v in raw[m]])
-                    insert(len(raw) - 1)
-                elif way == 2 and live:
-                    remove(rng.choice(sorted(live)))
-                if way == 0:
-                    with monkeypatch.context() as patched:
-                        patched.setattr(RowBasis, "_reduce", no_reduce)
-                        insert(m)
-                else:
-                    insert(m)
-                # kept, or a multiple of a row that is: dependent either way
-                assert dependent_circuit(basis, raw[m]) == brute_circuit(live, raw[m])
-            else:
-                assert basis.circuit(raw[m]) == expected
+            insert(m)
+            if m not in live:
+                assert basis.circuit(raw[m]) == brute_circuit(live, raw[m])
         else:
             if live and rng.random() < 0.5:
                 # a combination of live rows, so the query is dependent
@@ -317,9 +294,11 @@ def test_row_basis_differential(seed, monkeypatch):
             else:
                 probe = raw[rng.randrange(len(raw))]
             expected = brute_circuit(live, probe)
-            assert basis.extends(probe) == (expected is None)
-            if expected is not None:
-                assert basis.circuit(probe) == expected
+            if expected is None:
+                raw.append(probe)
+                insert(len(raw) - 1)
+            else:
+                assert dependent_circuit(basis, probe) == expected
         assert sorted(basis.index_of) == sorted(live)
         # rows independent over GF(PRIME) are independent over the rationals
         assert len(basis) == len(live) == bareiss_rank(list(live.values()))
@@ -414,10 +393,42 @@ def test_row_basis_exchange(seed):
         # circuits afterwards are the fundamental circuits of the live rows
         q = raw[rng.randrange(len(raw))]
         circuit = brute_circuit(live, q)
-        assert basis.extends(q) == (circuit is None)
         if circuit is not None:
-            assert basis.circuit(q) == circuit
+            assert dependent_circuit(basis, q) == circuit
     assert outcomes[True] > 10 and outcomes[False] > 10
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_basis_refused_insert_changes_nothing(seed):
+    # the partition probes a part by inserting into it, so an insert that
+    # refuses its row must leave the basis as it was: every value mod PRIME,
+    # the members, their slots and the order of the free slots
+    rng = random.Random(seed)
+    n, d = 6, 2
+    raw = mixed_rows(rng, n, d)
+    ncols = d * n
+    # spare slots: a refused row always finds a free slot it must not take
+    basis = RowBasis(ncols, track_width=ncols + 3)
+    refused = with_free_slot = 0
+    for _ in range(300):
+        live = sorted(basis.index_of)
+        if live and rng.random() < 0.15:
+            basis.remove(rng.choice(live))
+            continue
+        if live and rng.random() < 0.3:
+            # a combination of live rows: always refused
+            row = [0] * ncols
+            for m in rng.sample(live, rng.randrange(1, len(live) + 1)):
+                x = rng.randrange(1, PRIME)
+                row = [(p + x * q) % PRIME for p, q in zip(row, raw[m])]
+            raw.append(row)
+        m = rng.choice([m for m in range(len(raw)) if m not in basis.index_of])
+        before = values(basis), list(basis.free_slots), len(basis)
+        if not basis.insert(raw[m], m):
+            assert (values(basis), list(basis.free_slots), len(basis)) == before
+            refused += 1
+            with_free_slot += bool(basis.free_slots)
+    assert with_free_slot == refused > 100
 
 
 def test_row_basis_exchange_counts_pending_updates():
@@ -624,6 +635,49 @@ def test_row_basis_slot_bound_under_pending_updates():
     assert dependent_circuit(basis, probe) == brute_circuit(live, probe) == {a, b}
 
 
+def test_row_basis_folds_at_either_count():
+    # A read folds only the part it multiplies: a circuit read folds the
+    # tracking parts it sums and leaves their structural parts' counts as
+    # they are.  The head row (raw row 0) is 1 at the top column and holds
+    # entries on the unit columns 0..units-1; each unit row e_c clears its
+    # column from the head row, and each removal of a unit member downdates
+    # it, one update to both of its parts each time.  Circuit reads of the
+    # head's own row reset only its tracking count, so its structural count
+    # is the larger, and it must still be folded at its FOLD-th update.
+    rng = random.Random(11)
+    units = FOLD + 3
+    ncols = units + 1
+    head = [PRIME - rng.randrange(1, 1 << 8) for _ in range(units)] + [1]
+    raw = [head] + [[int(c == u) for c in range(ncols)] for u in range(units)]
+    basis = RowBasis(ncols, track_width=ncols)
+    top = units
+    split = 0  # steps at which the head's structural count led its tracking one
+
+    def check():
+        nonlocal split
+        counts = basis.pending.get(top, 0), basis.track_pending.get(top, 0)
+        assert max(counts) < FOLD
+        split += counts[0] > counts[1]
+        for part, updates in zip((basis.rows[top], basis.tracks[top]), counts):
+            assert slots_below(part, ncols, pending_bound(updates))
+
+    assert basis.insert(head, 0)
+    for m in range(1, units + 1):
+        assert basis.insert(raw[m], m)
+        if m == 2:
+            assert basis.circuit(head) == {0}
+        check()
+    assert basis.circuit(head) == {0}
+    for m in range(1, units + 1):
+        basis.remove(m)
+        check()
+    # units 2..FOLD-1 while inserting (its structural count folds at the
+    # FOLD-th insert), removals 1..FOLD-4 (it starts that phase at 3)
+    assert split == (FOLD - 2) + (FOLD - 4)
+    assert dependent_circuit(basis, head) == {0}
+    assert_tracking_exact(basis, raw)
+
+
 def test_fold_is_the_largest_count_a_slot_holds():
     # the slot bound of the module notes, read off the constants alone:
     # one folded entry plus FOLD products of a coefficient and a folded
@@ -740,4 +794,4 @@ def test_row_basis_folds_wide_sums():
     del live[k]
     assert live_rank() == k + 1
     assert dependent_circuit(basis, combination(range(1, k))) == set(range(1, k))
-    assert basis.extends(raw[k])
+    assert basis.insert(raw[k], k)

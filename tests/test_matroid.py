@@ -160,10 +160,9 @@ def test_partition_ground_subset():
 
 
 class RefusingOracle:
-    """A rigidity oracle whose states refuse the first insert after a removal.
+    """A rigidity oracle whose states refuse every exchange.
 
-    That insert is a swap on an augmenting path. ``built`` lists the oracle
-    once per state it builds.
+    ``built`` lists the oracle once per state it builds.
     """
 
     def __init__(self, inner, built):
@@ -187,9 +186,6 @@ class RefusingState:
     def insert(self, edge_id):
         return self.inner.insert(edge_id)
 
-    def extends(self, edge_id):
-        return self.inner.extends(edge_id)
-
     def circuit(self, edge_id):
         return self.inner.circuit(edge_id)
 
@@ -197,7 +193,7 @@ class RefusingState:
         return False
 
 
-def test_partition_raises_on_a_refused_path_insert():
+def test_partition_raises_on_a_refused_path_exchange():
     g = complete_graph(8)
     built = []
     oracles = [RefusingOracle(RigidityOracle(g, 2, salt=i + 1), built) for i in range(2)]
@@ -208,10 +204,10 @@ def test_partition_raises_on_a_refused_path_insert():
 
 
 class CountingOracle:
-    """An oracle whose states count, in one shared Counter, every refused
-    insert or exchange, probe and circuit read, every probe of a part that
-    already holds ``max_rank`` elements, and every refused probe of an
-    element the state has refused before."""
+    """An oracle whose states count, in one shared Counter, every probe
+    (insert attempt), kept insert, refused exchange and circuit read, every
+    probe of a part that already holds ``max_rank`` elements, and every
+    refused probe of an element the state has refused before."""
 
     def __init__(self, inner, log):
         self.inner, self.log = inner, log
@@ -230,15 +226,11 @@ class CountingState:
         self.refused = set()
 
     def insert(self, edge_id):
-        ok = self.inner.insert(edge_id)
-        self.size += ok
-        self.log["refused"] += not ok
-        return ok
-
-    def extends(self, edge_id):
         self.log["probes"] += 1
         self.log["full_probes"] += self.size >= self.cap
-        ok = self.inner.extends(edge_id)
+        ok = self.inner.insert(edge_id)
+        self.size += ok
+        self.log["kept"] += ok
         if not ok:
             self.log["repeated_refusals"] += edge_id in self.refused
             self.refused.add(edge_id)
@@ -294,7 +286,7 @@ def assert_dead_set_closed(oracles, result):
         for y in sorted(part):
             assert state.insert(y)
         for x in sorted(result.dead - part):
-            assert not state.extends(x)
+            assert not state.insert(x)
             assert state.circuit(x) <= result.dead
 
 
@@ -324,8 +316,8 @@ def test_partition_matches_union_rank_formula_without_refused_inserts():
                 result = partition([CountingOracle(o, log) for o in oracles], range(g.m))
                 assert result.total == total
                 # every path is found on circuits the states give as they stand,
-                # and a shortest path keeps every part independent: no insert
-                # or exchange on it is refused, even under a colliding
+                # and a shortest path keeps every part independent: no
+                # exchange on it is refused, even under a colliding
                 # realization
                 assert log["refused"] == 0
                 assert_dead_set_closed(oracles, result)
@@ -338,14 +330,15 @@ def test_dead_set_prunes_circuit_queries():
     # the last 76 edges start no search.  A one-pass search, which reads a
     # circuit for every dependent (x, part), makes 364 queries here; with
     # the dead set alone it makes 524, with neither 8096.  The two passes
-    # read 192 circuits, only in layers without a sink, and probe 243 times:
-    # 252 without the memo of refusals, which skips 9 repeated probes.
+    # read 192 circuits, only in layers without a sink, and probe by 243
+    # insert attempts, 114 of them kept: 252 without the memo of refusals,
+    # which skips 9 repeated probes.
     g = gnp_graph(30, 0.5, seed=4)
     log = Counter()
     oracles = [RigidityOracle(g, 2, 5, salt=i + 1) for i in range(2)]
     result = partition([CountingOracle(o, log) for o in oracles], range(g.m))
     assert result.total == 2 * complete_rank(30, 2) == 114
-    assert (log["probes"], log["circuits"]) == (243, 192)
+    assert (log["probes"], log["kept"], log["circuits"]) == (243, 114, 192)
     assert log["probes"] < 364 < 524 < 8096
     assert result.dead == result.ground
     assert_dead_set_closed(oracles, result)
@@ -363,7 +356,7 @@ def one_pass_search(e, states, part_of, dead, room, spanned):
             for i, state in enumerate(states):
                 if part_of.get(x) == i:
                     continue
-                if state.extends(x):
+                if state.insert(x):
                     moves = [(i, x, None)]
                     while prev[x] != (-1, -1):
                         px, m = prev[x]
@@ -423,7 +416,8 @@ def test_two_pass_search_matches_the_one_pass_reference(monkeypatch):
 def test_remembered_refusals_stay_refused(monkeypatch):
     # a part's span never shrinks (inserts grow it, exchanges keep it), so
     # a fresh probe of each final state refuses every element that part
-    # refused during the run, including elements that later joined it
+    # refused during the run; an element that later joined the part is in
+    # it (a second insert of a live member is an error, not a probe)
     search = matroid._search
     final = []
 
@@ -434,46 +428,58 @@ def test_remembered_refusals_stay_refused(monkeypatch):
     monkeypatch.setattr(matroid, "_search", recorded)
     remembered = joined = 0
     for oracles in search_cases():
-        partition(oracles, range(oracles[-1].graph.m))
+        result = partition(oracles, range(oracles[-1].graph.m))
         states, part_of, spanned = final
         assert len(spanned) == len(states) == len(oracles)
         for i, (state, refused) in enumerate(zip(states, spanned)):
             for x in sorted(refused):
-                assert not state.extends(x)
-                joined += part_of.get(x) == i
+                if part_of.get(x) == i:
+                    assert x in result.parts[i]
+                    joined += 1
+                else:
+                    assert not state.insert(x)
             remembered += len(refused)
     assert remembered > 500 and joined > 0
 
 
 def remove_then_insert(moves, states, part_of):
-    """The reference ``_augment``: every removal first, then every insert."""
+    """The reference ``_augment``: every removal first, then every insert.
+
+    The search has already inserted the sink element, so only the swaps'
+    elements are inserted here."""
     for i, _, old in moves:
         if old is not None:
             states[i].remove(old)
-    for i, add, _ in moves:
-        assert states[i].insert(add)
+    for i, add, old in moves:
+        if old is not None:
+            assert states[i].insert(add)
         part_of[add] = i
 
 
-@pytest.mark.parametrize("host,d,graphic,longest", [
+@pytest.mark.parametrize("host,d,graphic,longest,sink_swaps", [
     # a length-3 path: its first and third swaps share a part, and its sink
-    # part swapped before the sink insert
-    pytest.param((20, 0.6, 7), 3, False, 3, id="gnp20-d3"),
-    pytest.param((10, 0.8, 4), 2, False, 2, id="gnp10-d2"),
-    pytest.param((12, 0.7, 0), 2, True, 1, id="gnp12-graphic-d2"),
+    # part, where the search has already placed the sink element, swaps too
+    pytest.param((20, 0.6, 7), 3, False, 3, True, id="gnp20-d3"),
+    pytest.param((10, 0.8, 4), 2, False, 2, True, id="gnp10-d2"),
+    # a path of length 1 swaps only in the part its sink element leaves
+    pytest.param((12, 0.7, 0), 2, True, 1, False, id="gnp12-graphic-d2"),
 ])
-def test_exchange_paths_match_remove_then_insert(monkeypatch, host, d, graphic, longest):
-    # applying each path by exchanges in path order gives the parts and the
-    # dead set that removing every swapped element and re-inserting give
+def test_exchange_paths_match_remove_then_insert(monkeypatch, host, d, graphic, longest,
+                                                 sink_swaps):
+    # applying each path's swaps by exchanges in path order, after the
+    # search's insert of the sink element, gives the parts and the dead set
+    # that removing every swapped element and re-inserting give
     n, p, seed = host
     graph = gnp_graph(n, p, seed=seed)
     rigid = RigidityOracle(graph, d, 1, salt=1)
     oracles = [GraphicOracle(graph), rigid] if graphic else [rigid] * 2
     lengths = []
+    swapped = []  # whether a path's sink part also swaps on it
     augment = matroid._augment
 
     def recorded(moves, states, part_of):
         lengths.append(len(moves) - 1)
+        swapped.append(any(i == moves[0][0] for i, _, _ in moves[1:]))
         augment(moves, states, part_of)
 
     monkeypatch.setattr(matroid, "_augment", recorded)
@@ -481,6 +487,7 @@ def test_exchange_paths_match_remove_then_insert(monkeypatch, host, d, graphic, 
     monkeypatch.setattr(matroid, "_augment", remove_then_insert)
     reference = partition(oracles, range(graph.m))
     assert max(lengths) == longest
+    assert any(swapped) == sink_swaps
     assert result.parts == reference.parts
     assert result.dead == reference.dead
 
@@ -635,3 +642,27 @@ def test_graphic_verify_independent_is_exact():
     assert oracle.verify_independent(star, [g.edge_id(1, 2)], [])
     assert not oracle.verify_independent(triangle)
     assert not oracle.verify_independent(star, triangle)
+
+
+def test_forest_refused_insert_changes_nothing():
+    # the partition probes a part by inserting into it, so an edge that
+    # closes a cycle must leave the forest's adjacency as it was
+    rng = random.Random(27)
+    refused = 0
+    for seed in range(6):
+        g = gnp_graph(12, 0.5, seed=seed)
+        state = GraphicOracle(g).new_state()
+        live = []
+        for _ in range(200):
+            if live and rng.random() < 0.2:
+                state.remove(live.pop(rng.randrange(len(live))))
+                continue
+            e = rng.choice([e for e in range(g.m) if e not in live])
+            before = {v: list(nbrs) for v, nbrs in state._adj.items()}
+            if state.insert(e):
+                live.append(e)
+            else:
+                assert state._adj == before
+                refused += 1
+            assert independent_d1(g, live)
+    assert refused > 300
