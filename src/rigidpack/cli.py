@@ -182,7 +182,7 @@ def _cmd_rank(args) -> int:
         value = len(base)
     else:
         graphic = [GraphicOracle(graph)] if args.graphic else []
-        result, _, guard = guarded_partition(graphic + [oracle] * args.t, ground)
+        result, guard = guarded_partition(graphic + [oracle] * args.t, ground)
         value = result.total
     print(value)
     if guard is not None:

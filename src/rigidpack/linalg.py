@@ -92,12 +92,24 @@ every slot, applied through per-slot masks until no slot reaches 2^31
   reduction.
 * **Residues.**  ``residue`` returns a reduced row whose entries depend on
   the pivots chosen; only whether it is zero carries meaning.
+* **The witness.**  A tracked basis certifies its own members
+  (``certify``).  With R the structural rows, T their tracking parts and
+  Raw the live members' raw rows, T * Raw = R.  Each kept row is exactly 1
+  at its top slot, its pivot, so R has full rank, and then so has Raw:
+  the live members are independent.  ``certify`` checks the shape (the
+  live members are the expected set, ``rows`` and ``tracks`` hold the same
+  pivots, one per live member, each row's top slot is 1, no tracking part
+  is nonzero at a free slot) exactly, and T * Raw = R by Freivalds' check:
+  for a random y with one nonzero entry per kept row, (y^T T) * Raw = y^T R.
+  A state with T * Raw != R passes with probability at most
+  1 / (PRIME - 1) per draw, and a correct state always passes.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 PRIME_BITS = 31
 PRIME = (1 << PRIME_BITS) - 1
@@ -326,6 +338,41 @@ class RowBasis:
         self.index_of[member] = slot
         self.slot_member[slot] = member
         return True
+
+    def certify(self, members: Collection[int], row: Callable[[int], Sequence[int]],
+                rng: random.Random) -> bool:
+        """Whether the live members are exactly ``members`` and their raw rows
+        ``row(m)`` are independent, from the basis's own witness (module notes).
+
+        ``rng`` draws the check's vector.  Like a reduction, the check only
+        folds the parts it reads.  Only valid with tracking enabled.
+        """
+        if not self.track_width:
+            raise ValueError("certify needs track_width > 0")
+        rows, tracks, index_of = self.rows, self.tracks, self.index_of
+        if (index_of.keys() != set(members) or rows.keys() != tracks.keys()
+                or len(rows) != len(index_of)):
+            return False
+        if any(r >> (SLOT_BITS * p) != 1 for p, r in rows.items()):
+            return False
+        y = [(p, rng.randrange(1, PRIME)) for p in rows]
+        expected = self._sum(0, y, rows, self.pending)
+        coefs = self._sum(0, y, tracks, self.track_pending)
+        live = 0
+        for slot in index_of.values():
+            live |= _SLOT_MASK << (SLOT_BITS * slot)
+        if coefs & ~live:
+            return False  # a tracking part is nonzero at a free slot
+        raw: dict[int, int] = {}
+        terms = []
+        for m, slot in index_of.items():
+            c = (coefs >> (SLOT_BITS * slot)) & _SLOT_MASK
+            if c:
+                entries = row(m)
+                raw[m] = sum((entries[j] % PRIME) << (SLOT_BITS * j)
+                             for j in compress(range(self.ncols), entries))
+                terms.append((m, c))
+        return self._sum(0, terms, raw, {}) == expected
 
     def remove(self, member: int) -> None:
         """Drop a member's row by downdating the basis; nothing is re-inserted.

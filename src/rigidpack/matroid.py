@@ -86,12 +86,17 @@ symptom of an unlucky realization.
 So ``guarded_partition``, which ``rank_union``, ``pack_rigid`` and
 ``pack_tree_rigid`` use, never reports a short total on one realization's
 word: it is ``partition`` under ``rigidity.guarded``.
+
+A partition hands its finished states on (``MatroidPartition.states``), and
+a packing certifies each part from its own state (``certify``), outside
+the partition's answers: a forest exactly (union-find), a rigid part from
+its tracked basis's witness (``RowBasis.certify``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Protocol, Sequence
 
 from .graph import Graph
 from .rigidity import RigidityOracle, guarded, independent_d1
@@ -108,18 +113,20 @@ class MatroidState(Protocol):
     is not in the element's circuit, and then changes nothing.  The span
     never shrinks: ``insert`` grows it and ``exchange`` keeps it, so once
     ``insert`` refuses an element it refuses it for good (module notes).
+    ``certify(members)`` checks, outside the state's own answers, that the
+    state holds exactly ``members`` and that they are independent.
     """
 
     def insert(self, edge_id: int) -> bool: ...
     def circuit(self, edge_id: int) -> set[int]: ...
     def exchange(self, add: int, old: int) -> bool: ...
+    def certify(self, members: Collection[int]) -> bool: ...
 
 
 class IndependenceOracle(Protocol):
     @property
     def max_rank(self) -> int: ...
     def new_state(self) -> MatroidState: ...
-    def verify_independent(self, *edge_sets: Iterable[int]) -> bool: ...
     def fresh(self) -> "IndependenceOracle": ...
 
 
@@ -139,10 +146,6 @@ class GraphicOracle:
     def max_rank(self) -> int:
         """A forest has at most n - 1 edges; one with n - 1 is a spanning tree."""
         return max(self.graph.n - 1, 0)
-
-    def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
-        """Whether every given set is a forest; exact (union-find)."""
-        return all(independent_d1(self.graph, ids) for ids in edge_sets)
 
     def fresh(self) -> "GraphicOracle":
         """Itself: forest answers are exact, so a second look cannot differ."""
@@ -195,6 +198,10 @@ class ForestState:
         self.remove(old)
         return self.insert(add)
 
+    def certify(self, members: Collection[int]) -> bool:
+        """Whether the members form a forest; exact (union-find)."""
+        return independent_d1(self.graph, members)
+
     def remove(self, edge_id: int) -> None:
         u, v = self.graph.edges[edge_id]
         self._adj[u].remove((v, edge_id))
@@ -208,11 +215,14 @@ class MatroidPartition:
     ``dead`` holds the elements labelled by failed augmenting searches: each
     part's members in it span it, and it holds every uncovered element.
     Once every part is a basis (saturation) it is the whole ground set.
+    ``states`` are the parts' finished states, which ``certify`` them; they
+    take no part in comparisons.
     """
 
     parts: tuple[frozenset[int], ...]
     ground: frozenset[int]
     dead: frozenset[int]
+    states: tuple[MatroidState, ...] = field(compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -256,7 +266,7 @@ def partition(
     for x, i in part_of.items():
         parts[i].add(x)
     return MatroidPartition(tuple(frozenset(p) for p in parts), frozenset(order),
-                            frozenset(dead))
+                            frozenset(dead), tuple(states))
 
 
 def _search(e, states, part_of, dead, room,
@@ -319,9 +329,9 @@ def _augment(moves, states, part_of) -> None:
 
 def guarded_partition(
     oracles: Sequence[IndependenceOracle], ground: Iterable[int]
-) -> tuple[MatroidPartition, Sequence[IndependenceOracle], str | None]:
-    """``partition`` under ``rigidity.guarded``: the partition, the oracles
-    it was found under, and the guard's outcome."""
+) -> tuple[MatroidPartition, str | None]:
+    """``partition`` under ``rigidity.guarded``: the partition and the
+    guard's outcome."""
     return guarded(partition, oracles, frozenset(ground), lambda p: p.total)
 
 
@@ -335,7 +345,7 @@ class PackingResult:
     """Outcome of a spanning-subgraph packing attempt.
 
     ``verified`` holds only for a feasible packing whose parts passed their
-    oracles' re-checks.  ``guard`` is ``guarded_partition``'s outcome.
+    states' ``certify``.  ``guard`` is ``guarded_partition``'s outcome.
     """
 
     parts: tuple[frozenset[int], ...]
@@ -357,20 +367,17 @@ class PackingResult:
 
 
 def _pack(graph: Graph, oracles: Sequence[IndependenceOracle]) -> PackingResult:
-    """Partition every edge into one part per oracle; re-check a full result.
+    """Partition every edge into one part per oracle; certify a full result.
 
     Each part's target is its oracle's ``max_rank``.  The partition is
-    guarded (``guarded_partition``), and each distinct oracle it was found
-    under re-checks all of its parts in one ``verify_independent`` call, so
-    the t rigid parts of ``pack_rigid`` share one fresh realization.
+    guarded (``guarded_partition``), and each part of a full one is
+    certified by the state that built it (module notes).
     """
-    result, used, guard = guarded_partition(oracles, range(graph.m))
+    result, guard = guarded_partition(oracles, range(graph.m))
     parts = result.parts
     targets = tuple(o.max_rank for o in oracles)
     full = tuple(map(len, parts)) == targets
-    verified = full and all(
-        o.verify_independent(*(p for p, q in zip(parts, used) if q is o))
-        for o in dict.fromkeys(used))
+    verified = full and all(s.certify(p) for s, p in zip(result.states, parts))
     return PackingResult(parts, targets, verified, guard)
 
 
@@ -382,8 +389,8 @@ def pack_rigid(graph: Graph, d: int, t: int, seed: int = 0) -> PackingResult:
     connectivity precondition is checked: the attempt itself is the test,
     and failure reports the achieved partition.  One realization serves all
     t parts, and a short partition is confirmed or reseeded under a second
-    one; a feasible packing is re-checked under one fresh realization, and
-    ``verified`` holds the outcome.
+    one; each part of a feasible packing is certified from its basis's
+    witness, and ``verified`` holds the outcome.
     """
     if graph.n < d + 1:
         raise ValueError("need at least d+1 vertices")
@@ -397,7 +404,7 @@ def pack_tree_rigid(graph: Graph, d: int, seed: int = 0) -> PackingResult:
 
     parts[0] is the tree candidate, parts[1] the rigid one; feasible exactly
     when the union of the graphic and rigidity matroids has rank
-    (n - 1) + (d*n - (d+1 choose 2)).  A feasible split is re-checked as
+    (n - 1) + (d*n - (d+1 choose 2)).  A feasible split is certified as
     ``pack_rigid``'s is, the tree exactly.
     """
     if graph.n < d + 1:

@@ -24,14 +24,19 @@ probability at most (R / PRIME)^2, R the generic rank (for a union, the
 sum of the parts' generic ranks): about 4.5e-14 for the two d = 8 bases
 of orient-k3 (R = 456) and 1.7e-12 for two d = 20 bases of K81 (R = 2820).
 
-One oracle answers for every part of a union of copies of R_d, and a
-delivered object is re-checked, all its parts at once, under one fresh
-realization (``verify_independent``), which catches kernel faults.
-Packings and union ranks draw salt 1 and orientation bases salt 0.  Each
-second look, a guard's or a re-check's, draws the ``fresh()`` (salt + 2^20)
-of the oracle whose verdict it checks, so a chain has at most three steps:
-a packing's guard, the re-check of a packing it reseeds, and that
-re-check's own guard.
+One oracle answers for every part of a union of copies of R_d.  A
+feasible packing is certified part by part from the kernel's witness
+(``RigidityPartitionState.certify``; see the ``linalg`` notes), with no
+second elimination: a wrong part passes with probability at most
+1 / (PRIME - 1) per draw, and a correct kernel always passes, so an
+unverified packing means a kernel fault.  Packings and union ranks draw
+salt 1 and orientation bases salt 0.  Each second look draws the
+``fresh()`` (salt + 2^20) of the oracle whose verdict it checks, so a
+chain has at most two steps: a guard's second solve, or the fresh check of
+an orientation base (``verify_independent``) and that check's own guard.
+The witness draws its vector from stream ``WITNESS_STREAM`` (-1) of the
+oracle's seed; the package draws realizations at nonnegative salts only,
+so none of them shares that stream.
 
 Every realization's rank is at most ``complete_rank(n, d)`` (see
 ``RigidityOracle.max_rank``), so a set of that many independent edges spans
@@ -52,6 +57,9 @@ from .linalg import PRIME, RowBasis
 from .stream import stream_rng
 
 T = TypeVar("T")
+
+# the stream of the witness's random vector (module notes)
+WITNESS_STREAM = -1
 
 
 def complete_rank(n: int, d: int) -> int:
@@ -154,9 +162,7 @@ class RigidityOracle:
 
     def guarded_base(self, edge_ids: Iterable[int]) -> tuple[list[int], str | None]:
         """A base of the set, and the outcome of ``guarded``'s guard (module notes)."""
-        base, _, outcome = guarded(lambda os, ids: os[0].extract_base(ids), [self],
-                                   frozenset(edge_ids))
-        return base, outcome
+        return guarded(lambda os, ids: os[0].extract_base(ids), [self], frozenset(edge_ids))
 
     def rank(self, edge_ids: Iterable[int]) -> int:
         return len(self.guarded_base(edge_ids)[0])
@@ -188,9 +194,10 @@ class RigidityOracle:
     def verify_independent(self, *edge_sets: Iterable[int]) -> bool:
         """Whether every given set is independent under ``fresh()``.
 
-        One realization re-checks all the parts of a packing (cuts
-        one-sided error); a set it finds dependent is asked of its own
-        ``fresh()`` by the guard of ``rank`` before it is rejected.
+        ``rigid_base_orientation`` asks it to tell a base that is not
+        independent from an oracle error; a set it finds dependent is asked
+        of its own ``fresh()`` by the guard of ``rank`` before it is
+        rejected.
         """
         oracle = self.fresh()
         return all(oracle.is_independent(ids) for ids in edge_sets)
@@ -204,25 +211,23 @@ def guarded(
     oracles: Sequence,
     ground: Collection[int],
     size: Callable[[T], int] = len,
-) -> tuple[T, Sequence, str | None]:
+) -> tuple[T, str | None]:
     """``solve(oracles, ground)`` under the guard of the module notes.
 
-    ``size`` measures a result.  Returns the result, the oracles it was
-    found under, and the guard's outcome: "reseeded" when the fresh oracles
-    found a larger result, "confirmed" when they did not, None when the
-    guard did not run.
+    ``size`` measures a result.  Returns the result and the guard's
+    outcome: "reseeded" when the fresh oracles found a larger result,
+    "confirmed" when they did not, None when the guard did not run.
     """
     first = solve(oracles, ground)
     if size(first) >= min(len(ground), sum(o.max_rank for o in oracles)):
-        return first, oracles, None
+        return first, None
     fresh = {o: o.fresh() for o in dict.fromkeys(oracles)}
     if all(o is f for o, f in fresh.items()):
-        return first, oracles, None  # exact oracles: the short result is the rank
-    again = [fresh[o] for o in oracles]
-    second = solve(again, ground)
+        return first, None  # exact oracles: the short result is the rank
+    second = solve([fresh[o] for o in oracles], ground)
     if size(second) > size(first):
-        return second, again, "reseeded"
-    return first, oracles, "confirmed"
+        return second, "reseeded"
+    return first, "confirmed"
 
 
 class RigidityPartitionState:
@@ -235,7 +240,8 @@ class RigidityPartitionState:
     refused, reports its fundamental circuit: exactly the members y for
     which part - y + e is independent.  ``exchange(e, y)`` makes that swap
     for such a y, rewriting tracking coefficients only
-    (``RowBasis.exchange``).
+    (``RowBasis.exchange``).  ``certify(part)`` checks the finished part
+    from the basis's witness (``RowBasis.certify``).
     """
 
     __slots__ = ("oracle", "basis")
@@ -254,6 +260,10 @@ class RigidityPartitionState:
 
     def exchange(self, add: int, old: int) -> bool:
         return self.basis.exchange(self.oracle.row(add), add, old)
+
+    def certify(self, members: Collection[int]) -> bool:
+        return self.basis.certify(members, self.oracle.row,
+                                  stream_rng(self.oracle.seed, WITNESS_STREAM))
 
     def remove(self, edge_id: int) -> None:
         self.basis.remove(edge_id)

@@ -9,7 +9,7 @@ from rigidpack.cli import build_parser, main
 from rigidpack.generators import complete_graph, cycle_graph, gnp_graph
 from rigidpack.graph import Graph, read_digraph, read_graph, write_graph
 from rigidpack.matroid import ForestState
-from rigidpack.rigidity import Realization, RigidityOracle, RigidityPartitionState
+from rigidpack.rigidity import Realization, RigidityPartitionState
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -107,17 +107,20 @@ def test_kriesell(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["graphic", "rigidity"])
-def test_kriesell_failed_recheck_exits_1(capsys, monkeypatch, fault):
-    if fault == "graphic":
-        monkeypatch.setattr(matroid, "independent_d1", lambda graph, ids: False)
-    else:
-        monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
+def test_kriesell_failed_recheck_exits_1(capsys, monkeypatch, corruptions, fault):
+    # the tree's exact check failing, or the rigid part's state corrupted in
+    # each way the witness must catch
+    faults = corruptions.values() if fault == "rigidity" else [
+        lambda patch: patch.setattr(matroid, "independent_d1", lambda graph, ids: False)]
     text = write_graph(complete_graph(6))
-    code, out = run_cli(capsys, monkeypatch, ["kriesell", "--d", "2"], stdin=text)
-    assert code == 1
-    stats = last_json(out)["stats"]
-    assert stats["feasible"] is True and stats["verified"] is False
-    assert stats["sizes"] == [5, 9] and stats["deficiency"] == 0
+    for install in faults:
+        with monkeypatch.context() as patch:
+            install(patch)
+            code, out = run_cli(capsys, monkeypatch, ["kriesell", "--d", "2"], stdin=text)
+        assert code == 1
+        stats = last_json(out)["stats"]
+        assert stats["feasible"] is True and stats["verified"] is False
+        assert stats["sizes"] == [5, 9] and stats["deficiency"] == 0
 
 
 def test_orient_verify_and_pipe(capsys, monkeypatch):
@@ -147,19 +150,24 @@ def test_orient_packing_failure(capsys, monkeypatch):
     assert report["certificates"] == [{"kind": "packing-deficiency"}]
 
 
-def test_orient_unverified_packing_fails(capsys, monkeypatch):
-    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
+def test_orient_unverified_packing_fails(capsys, monkeypatch, corruptions):
+    # a rigid state corrupted in any way the witness must catch
     text = write_graph(complete_graph(17))
-    code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "4", "--t", "2"], stdin=text)
-    assert code == 1
-    assert last_json(out)["stats"]["feasible"] is True
-    code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2"], stdin=text)
-    assert code == 1
-    report = last_json(out)
-    assert report["object"] == "orientation-failure"
-    assert report["certificates"] == [{"kind": "packing-unverified"}]
-    assert report["stats"]["deficiency"] == 0
-    assert out.count("\n") == 1             # the report line only: no orientation
+    for install in corruptions.values():
+        with monkeypatch.context() as patch:
+            install(patch)
+            code, out = run_cli(capsys, monkeypatch, ["pack", "--d", "4", "--t", "2"],
+                                stdin=text)
+            assert code == 1
+            stats = last_json(out)["stats"]
+            assert stats["feasible"] is True and stats["verified"] is False
+            code, out = run_cli(capsys, monkeypatch, ["orient", "--k", "2"], stdin=text)
+        assert code == 1
+        report = last_json(out)
+        assert report["object"] == "orientation-failure"
+        assert report["certificates"] == [{"kind": "packing-unverified"}]
+        assert report["stats"]["deficiency"] == 0
+        assert out.count("\n") == 1             # the report line only: no orientation
 
 
 def refuse_the_first_exchange(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import random
 from collections import Counter
@@ -795,3 +796,61 @@ def test_row_basis_folds_wide_sums():
     assert live_rank() == k + 1
     assert dependent_circuit(basis, combination(range(1, k))) == set(range(1, k))
     assert basis.insert(raw[k], k)
+
+
+def built_basis(seed):
+    """A tracked basis with spare slots after random inserts, exchanges and
+    removals, and the raw rows by member id."""
+    rng = random.Random(seed)
+    raw = mixed_rows(rng, 6, 2)
+    basis = RowBasis(12, track_width=14)
+    for m in rng.sample(range(len(raw)), len(raw)):
+        basis.insert(raw[m], m)
+    for _ in range(30):
+        live = sorted(basis.index_of)
+        if rng.random() < 0.2:
+            basis.remove(rng.choice(live))
+            continue
+        probe = [0] * 12
+        for m in rng.sample(live, rng.randrange(1, 4)):
+            x = rng.randrange(1, PRIME)
+            probe = [(p + x * q) % PRIME for p, q in zip(probe, raw[m])]
+        raw.append(probe)
+        m = len(raw) - 1
+        if not basis.insert(probe, m):
+            basis.exchange(probe, m, rng.choice(sorted(dependent_circuit(basis, probe))))
+    return basis, raw
+
+
+def drop_a_row(basis, members):
+    pivot = next(iter(basis.rows))
+    del basis.rows[pivot], basis.tracks[pivot]
+    basis.pending.pop(pivot, None)
+    basis.track_pending.pop(pivot, None)
+
+
+def drop_a_tracking_part(basis, members):
+    del basis.tracks[next(iter(basis.tracks))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_basis_certify(seed, basis_faults):
+    # a basis certifies exactly its live members under every draw; each
+    # corruption breaks one condition of the witness and is refused, and so
+    # is a member set other than the live one
+    basis, raw = built_basis(seed)
+    members = frozenset(basis.index_of)
+    assert basis.free_slots and len(members) == len(basis) > 3
+    assert_tracking_exact(basis, raw)
+    assert all(basis.certify(members, raw.__getitem__, random.Random(s)) for s in range(20))
+    outsider = min(m for m in range(len(raw)) if m not in members)
+    assert not basis.certify(members - {min(members)} | {outsider}, raw.__getitem__,
+                             random.Random(0))
+    faults = {**basis_faults, "row-dropped": drop_a_row,
+              "tracking-part-dropped": drop_a_tracking_part}
+    for kind, fault in faults.items():
+        broken = copy.deepcopy(basis)
+        fault(broken, members)
+        assert not broken.certify(members, raw.__getitem__, random.Random(0)), kind
+    with pytest.raises(ValueError, match="track_width"):
+        RowBasis(4).certify((), raw.__getitem__, random.Random(0))

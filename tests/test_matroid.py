@@ -562,17 +562,19 @@ def count_realizations(monkeypatch):
 
 
 def test_pack_rigid_draws_one_realization_and_one_recheck(monkeypatch):
+    # one realization for all three parts; the re-check is each part's
+    # witness (``RowBasis.certify``), which draws none
     drawn = count_realizations(monkeypatch)
     result = pack_rigid(complete_graph(12), 2, 3, seed=1)
     assert result.feasible and result.verified
-    assert len(drawn) == 2              # one for all three parts, one re-check
+    assert drawn == [1]
 
 
 def test_tree_rigid_packing_draws_one_realization_and_one_recheck(monkeypatch):
     drawn = count_realizations(monkeypatch)
     result = pack_tree_rigid(complete_graph(8), 2, seed=1)
     assert result.feasible and result.verified
-    assert drawn == [1, 1 + (1 << 20)]  # the tree is re-checked exactly
+    assert drawn == [1]  # the tree is re-checked exactly, the rigid part by its witness
 
 
 # the salt offset of a fresh realization (``RigidityOracle.fresh``)
@@ -589,8 +591,8 @@ def test_guard_reseeds_an_unlucky_packing(unlucky):
         drawn.clear()
         result = pack()
         assert result.feasible and result.verified and result.guard == "reseeded"
-        # the partition, the guard's partition, and the re-check of its parts
-        assert drawn == [1, 1 + FRESH, 1 + 2 * FRESH]
+        # the partition and the guard's partition, whose states certify the parts
+        assert drawn == [1, 1 + FRESH]
 
 
 def test_guard_confirms_a_short_packing(monkeypatch):
@@ -629,19 +631,29 @@ def test_guard_skips_exact_oracles(monkeypatch):
     calls = []
     run = matroid.partition
     monkeypatch.setattr(matroid, "partition", lambda *args: calls.append(args) or run(*args))
-    result, _, guard = guarded_partition([GraphicOracle(g)] * 2, range(g.m))
+    result, guard = guarded_partition([GraphicOracle(g)] * 2, range(g.m))
     assert result.total == 8 and guard is None and len(calls) == 1
 
 
-def test_graphic_verify_independent_is_exact():
+def test_forest_certify_is_exact():
     g = complete_graph(4)
-    oracle = GraphicOracle(g)
+    state = GraphicOracle(g).new_state()
     star = [g.edge_id(0, v) for v in (1, 2, 3)]
     triangle = [g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(0, 2)]
-    assert oracle.verify_independent(star)
-    assert oracle.verify_independent(star, [g.edge_id(1, 2)], [])
-    assert not oracle.verify_independent(triangle)
-    assert not oracle.verify_independent(star, triangle)
+    assert state.certify(star) and state.certify([g.edge_id(1, 2)]) and state.certify([])
+    assert not state.certify(triangle)
+
+
+def test_every_partition_certifies():
+    # every part of every partition of the search cases passes its state's
+    # certify, full parts and short ones, forests and rigid parts alike
+    full = 0
+    for oracles in search_cases():
+        result = partition(oracles, range(oracles[-1].graph.m))
+        assert len(result.states) == len(oracles)
+        assert all(s.certify(p) for s, p in zip(result.states, result.parts))
+        full += result.sizes == tuple(o.max_rank for o in oracles)
+    assert 10 < full < 43
 
 
 def test_forest_refused_insert_changes_nothing():

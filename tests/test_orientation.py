@@ -209,11 +209,14 @@ def test_k1_orientation_pipeline():
     assert report.verified
 
 
-def test_unverified_packing_raises(monkeypatch):
-    monkeypatch.setattr(RigidityOracle, "verify_independent", lambda self, *ids: False)
-    with pytest.raises(PackingError) as info:
-        k_connected_orientation(complete_graph(17), 2)
-    assert info.value.packing.feasible and not info.value.packing.verified
+def test_unverified_packing_raises(monkeypatch, corruptions):
+    # a rigid state corrupted in any way the witness must catch
+    for install in corruptions.values():
+        with monkeypatch.context() as patch:
+            install(patch)
+            with pytest.raises(PackingError) as info:
+                k_connected_orientation(complete_graph(17), 2)
+        assert info.value.packing.feasible and not info.value.packing.verified
 
 
 def test_reversed_orientation_meets_outdegree_spec():

@@ -330,26 +330,25 @@ def test_guard_policy_on_stubs():
     # a full first result: min(10, 4 + 4) = 8 is reached, one solve
     o = StubOracle(4)
     solve, calls = stub_solver(8)
-    assert guarded(solve, [o, o], ground) == (list(range(8)), [o, o], None)
+    assert guarded(solve, [o, o], ground) == (list(range(8)), None)
     assert len(calls) == 1 and o.fresh_calls == 0
     # only exact oracles: a short result is the rank, one solve
     exact = StubOracle(4, exact=True)
     solve, calls = stub_solver(5)
-    assert guarded(solve, [exact, exact], ground) == (list(range(5)), [exact, exact], None)
+    assert guarded(solve, [exact, exact], ground) == (list(range(5)), None)
     assert len(calls) == 1
     # one oracle listed twice maps to one fresh oracle, asked for once;
-    # on a tie the first result and its oracles stand
+    # on a tie the first result stands
     solve, calls = stub_solver(5, 5)
-    result, used, outcome = guarded(solve, [o, o], ground)
+    first = guarded(solve, [o, o], ground)
     assert o.fresh_calls == 1 and o._fresh is not o
     assert calls == [[o, o], [o._fresh, o._fresh]]
-    assert (result, used, outcome) == (list(range(5)), [o, o], "confirmed")
-    # a larger second result replaces the first, with the fresh oracles
+    assert first == (list(range(5)), "confirmed")
+    # a larger second result, found under the fresh oracles, replaces the first
     p = StubOracle(4)
     solve, calls = stub_solver(5, 6)
-    result, used, outcome = guarded(solve, [p, exact], ground)
+    assert guarded(solve, [p, exact], ground) == (list(range(6)), "reseeded")
     assert p.fresh_calls == 1
-    assert (result, used, outcome) == (list(range(6)), [p._fresh, exact], "reseeded")
     assert calls == [[p, exact], [p._fresh, exact]]
 
 
@@ -363,6 +362,6 @@ def test_both_guards_agree_at_one_part(unlucky, host, unlucky_salts, expected):
     g = host()
     unlucky(*unlucky_salts)
     oracle = RigidityOracle(g, 2, 1, salt=1)
-    result, _, outcome = guarded_partition([oracle], range(g.m))
+    result, outcome = guarded_partition([oracle], range(g.m))
     base, base_outcome = oracle.guarded_base(range(g.m))
     assert (result.total, outcome) == (len(base), base_outcome) == expected
