@@ -82,7 +82,8 @@ every slot, applied through per-slot masks until no slot reaches 2^31
   there: no slot is taken and no member recorded.  Its reduction only
   folds the structural parts it reads, which changes no value mod PRIME.
   So an insert is also the independence probe: the partition asks each
-  part to take an element and reads the answer.
+  part to take an element, the part with the most room first, and reads
+  the answer.
 * **Circuits of dependent rows only.**  ``circuit`` assumes its row is
   dependent: a row that ``insert`` refused, as the basis stands.  In
   reduced row-echelon form such a row is the sum of its own entries at
